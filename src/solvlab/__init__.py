@@ -43,7 +43,6 @@ from .solubilizer import (
     sol_record,
     sol_set,
     soluble_radical,
-    theorem34_ratio,
 )
 from .classify import (
     ClassifierRow,
@@ -97,6 +96,5 @@ __all__ = [
     "soluble_radical",
     "structure_tag",
     "table2_enumerate",
-    "theorem34_ratio",
     "theorem44_enumerate",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import CHECK_TOKENS, run_catalog_checks
+from .checks import CHECK_TOKENS, _ratio_str, run_catalog_checks
 from .classify import cross_validate, table2_enumerate, theorem44_enumerate
 from .cycles import format_cycles, parse_cycles
 from .errors import InvalidParameter, NotInGroup, SolvLabError
@@ -67,11 +67,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser, cap: bool = True) -> None:
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--max-order", type=int, default=1200)
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    if cap:
+        sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
 
 def _parse_family_token(text: str) -> FamilySpec:
@@ -106,10 +105,6 @@ def _resolve_element(entry: CatalogEntry, ns, cap: int):
     if x is None:
         raise NotInGroup(f"{entry.name} has no element of order {ns.order}")
     return x
-
-
-def _ratio_str(value) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _emit(report: VerificationReport, fmt: str) -> None:
@@ -351,6 +346,8 @@ def _build_parser() -> _Parser:
         default=",".join(CHECK_TOKENS),
         help="comma-separated subset of: " + ", ".join(CHECK_TOKENS),
     )
+    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--max-order", type=int, default=1200)
     _add_common_flags(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -365,7 +362,7 @@ def _build_parser() -> _Parser:
     p_z = sub.add_parser("zsigmondy", help="primitive prime divisors of q^d - 1")
     p_z.add_argument("q", type=int)
     p_z.add_argument("d", type=int)
-    _add_common_flags(p_z)
+    _add_common_flags(p_z, cap=False)
     p_z.set_defaults(func=cmd_zsigmondy)
 
     return parser

@@ -167,19 +167,3 @@ class GF:
         if self.q == 2:
             return 1
         raise ArithmeticError("no multiplicative generator found")
-
-    def modulus_str(self) -> str:
-        """Human-readable reducing polynomial, e.g. 'x^3+x+1'."""
-        if self.n == 1:
-            return "x"
-        terms = []
-        for d in range(self.n, -1, -1):
-            c = self.modulus[d]
-            if c == 0:
-                continue
-            if d == 0:
-                terms.append(str(c))
-            else:
-                xs = "x" if d == 1 else f"x^{d}"
-                terms.append(xs if c == 1 else f"{c}{xs}")
-        return "+".join(terms)

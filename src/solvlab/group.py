@@ -220,7 +220,8 @@ class PermGroup:
     """A permutation group given by generators, backed by a stabilizer chain.
 
     Instances are immutable after construction; the private cache only holds
-    results of pure computations (element lists, class data, solubility).
+    results of pure computations (element lists, class data, solubility,
+    centralizers and cyclic normalizers of members).
     """
 
     __slots__ = ("degree", "generators", "_chain", "_cache")
@@ -299,22 +300,6 @@ class GroupHom:
             raise NotInGroup("element outside the homomorphism's source group")
         return Permutation._from_tuple(self._map(p._img))
 
-    def image_set(self, s: ElementSet) -> ElementSet:
-        return ElementSet(self.target.degree, (self._map(t) for t in s.raw()))
-
-
-def build_group(degree: int, generators: Iterable[Permutation]) -> PermGroup:
-    """Construct a group (with its stabilizer chain) from generators."""
-    return PermGroup(degree, generators)
-
-
-def group_order(G: PermGroup) -> int:
-    return G.order()
-
-
-def contains(G: PermGroup, p: Permutation) -> bool:
-    return p in G
-
 
 def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     """All elements of G in canonical order; refuses when order() > cap."""
@@ -339,15 +324,6 @@ def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     out = ElementSet(G.degree, seen)
     G._cache["elements"] = out
     return out
-
-
-def generated_subgroup(G: PermGroup, elements: Iterable[Permutation]) -> PermGroup:
-    """Subgroup of G generated by the given members."""
-    elems = list(elements)
-    for p in elems:
-        if p not in G:
-            raise NotInGroup(f"{p!r} is not a member of the ambient group")
-    return PermGroup(G.degree, elems)
 
 
 def normal_closure(G: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
@@ -455,26 +431,35 @@ def is_abelian(G: PermGroup) -> bool:
 
 
 def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
-    """C_G(x), by exhaustive filtration of the element list."""
+    """C_G(x), by exhaustive filtration of the element list; memoized per group."""
     if x not in G:
         raise NotInGroup("x is not a member of G")
+    elements = enumerate_elements(G, cap)
     xt = x._img
-    members = [
-        t for t in enumerate_elements(G, cap).raw() if _mul(t, xt) == _mul(xt, t)
-    ]
-    return PermGroup.from_elements(G.degree, members)
+    table = G._cache.setdefault("centralizer", {})
+    found = table.get(xt)
+    if found is None:
+        members = [t for t in elements.raw() if _mul(t, xt) == _mul(xt, t)]
+        found = PermGroup.from_elements(G.degree, members)
+        table[xt] = found
+    return found
 
 
 def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
-    """N_G(<x>), elements g with x^g a power of x, by exhaustive filtration."""
+    """N_G(<x>), elements g with x^g a power of x, by exhaustive filtration;
+    memoized per group."""
     if x not in G:
         raise NotInGroup("x is not a member of G")
+    elements = enumerate_elements(G, cap)
     xt = x._img
-    powers = set(_cyclic_tuples(xt))
-    members = [
-        t for t in enumerate_elements(G, cap).raw() if _conj(xt, t) in powers
-    ]
-    return PermGroup.from_elements(G.degree, members)
+    table = G._cache.setdefault("normalizer_of_cyclic", {})
+    found = table.get(xt)
+    if found is None:
+        powers = set(_cyclic_tuples(xt))
+        members = [t for t in elements.raw() if _conj(xt, t) in powers]
+        found = PermGroup.from_elements(G.degree, members)
+        table[xt] = found
+    return found
 
 
 def _cyclic_tuples(x: Tup) -> list[Tup]:
@@ -564,10 +549,6 @@ def first_element_of_order(G: PermGroup, k: int, cap: int = DEFAULT_CAP) -> Perm
     return None
 
 
-def _member_set(G: PermGroup, cap: int = DEFAULT_CAP) -> frozenset:
-    return enumerate_elements(G, cap).raw_set()
-
-
 def is_subgroup_of(H: PermGroup, G: PermGroup) -> bool:
     """True when H is a subgroup of G: every generator of H lies in G."""
     if G.degree != H.degree:
@@ -599,7 +580,7 @@ def is_maximal(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     if h_order == n:
         raise NotInGroup("H equals G; maximality is undefined")
     h_gens = [g._img for g in H.generators]
-    h_members = _member_set(H, cap)
+    h_members = enumerate_elements(H, cap).raw_set()
     covered = set(h_members)
     for t in enumerate_elements(G, cap).raw():
         if t in covered:
@@ -633,7 +614,7 @@ def quotient_by_normal(
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
     elements = enumerate_elements(G, cap)
-    n_members = list(_member_set(N, cap))
+    n_members = enumerate_elements(N, cap).raw()
     coset_of: dict[Tup, int] = {}
     reps: list[Tup] = []
     for t in elements.raw():

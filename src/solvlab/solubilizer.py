@@ -62,7 +62,6 @@ __all__ = [
     "n_value",
     "lemma32_check",
     "eq1_check",
-    "theorem34_ratio",
     "frobenius_structure",
     "lemma_exp_bound",
     "quotient_sol_check",
@@ -375,14 +374,6 @@ def eq1_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT_CAP
         index_sum += index
     h_order = H.order()
     return ell_h - G.order() // h_order - (n_x.order() // h_order) * index_sum
-
-
-def theorem34_ratio(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> Fraction:
-    """The exact rational (|c_x| * ell_cx) / |n_x| for one element."""
-    sol = sol_set(G, x, cap)
-    c_x = centralizer(G, x, cap)
-    n_x = normalizer_of_cyclic(G, x, cap)
-    return Fraction(c_x.order() * orbit_count(c_x, sol), n_x.order())
 
 
 @dataclass(frozen=True)

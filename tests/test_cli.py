@@ -96,6 +96,29 @@ class TestUsageErrors:
             main(["table1", "--format", "yaml"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sol", "--family", "a:5", "--order", "5", "--jobs", "2"],
+            ["sol", "--family", "a:5", "--order", "5", "--max-order", "60"],
+            ["table1", "--jobs", "2"],
+            ["table1", "--max-order", "60"],
+            ["classify", "--jobs", "2"],
+            ["classify", "--max-order", "60"],
+            ["zsigmondy", "17", "6", "--jobs", "2"],
+            ["zsigmondy", "17", "6", "--max-order", "60"],
+            ["zsigmondy", "17", "6", "--cap", "100"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_1(self, capsys, argv):
+        # only verify reads --jobs and --max-order; zsigmondy enumerates no group
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: solv-lab")
+        assert "unrecognized arguments: " + argv[-2] in err
+
 
 class TestTable1:
     def test_reference_table_matches(self, capsys):

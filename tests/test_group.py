@@ -121,19 +121,33 @@ class TestSubgroups:
         assert z.order() == 2
         assert is_normal(sl2_5, z)
 
-    def test_centralizer_and_normalizer_brute_force(self, a5):
-        x = parse_cycles("(1,2,3,4,5)", 5)
-        members = list(enumerate_elements(a5))
-        cyc = set(x**k for k in range(5))
-        brute_cent = [g for g in members if g * x == x * g]
-        brute_norm = [
-            g for g in members if {c.conjugate_by(g) for c in cyc} == cyc
-        ]
-        assert set(enumerate_elements(centralizer(a5, x))) == set(brute_cent)
-        assert set(enumerate_elements(normalizer_of_cyclic(a5, x))) == set(
-            brute_norm
-        )
-        assert cyclic_subgroup(a5, x).order() == 5
+    def test_centralizer_and_normalizer_brute_force(self, a5, s4):
+        # every element against the in-test filtration; the second call must
+        # be a memo hit, and the guards must still run after one
+        for G in (a5, s4):
+            members = list(enumerate_elements(G))
+            for x in members:
+                cyc = {x**k for k in range(x.order())}
+                brute_cent = {g for g in members if g * x == x * g}
+                brute_norm = {
+                    g for g in members if {c.conjugate_by(g) for c in cyc} == cyc
+                }
+                cent = centralizer(G, x)
+                norm = normalizer_of_cyclic(G, x)
+                assert set(enumerate_elements(cent)) == brute_cent
+                assert set(enumerate_elements(norm)) == brute_norm
+                assert centralizer(G, x) is cent
+                assert normalizer_of_cyclic(G, x) is norm
+                with pytest.raises(OrderExceedsCap):
+                    centralizer(G, x, cap=G.order() - 1)
+                with pytest.raises(OrderExceedsCap):
+                    normalizer_of_cyclic(G, x, cap=G.order() - 1)
+        odd = parse_cycles("(1,2)", 5)
+        with pytest.raises(NotInGroup):
+            centralizer(a5, odd)
+        with pytest.raises(NotInGroup):
+            normalizer_of_cyclic(a5, odd)
+        assert cyclic_subgroup(a5, parse_cycles("(1,2,3,4,5)", 5)).order() == 5
 
 
 class TestDerivedSeriesAndSolubility:
