@@ -36,7 +36,7 @@ from .solubilizer import (
     pq_scan,
     quotient_sol_check,
     sol_record,
-    sol_set,
+    sol_set_exhaustive,
     soluble_radical,
 )
 
@@ -182,7 +182,10 @@ def run_entry_checks(entry: CatalogEntry, checks: tuple[str, ...], cap: int = DE
 
 
 def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
-    """Divisibility, invariance and structure properties of one solubilizer."""
+    """Divisibility, invariance and structure properties of one solubilizer.
+
+    The invariance and equivariance flags rescan with sol_set_exhaustive, so
+    they also check the orbit-reduced sol_set behind the record."""
     sol = record.sol
     order = G.order()
     flags["cx_divides_sol"] = record.sol_size % record.c_x.order() == 0
@@ -191,14 +194,16 @@ def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
     invariant = True
     for k in range(2, x_order):
         if math.gcd(k, x_order) == 1:
-            if sol_set(G, rep**k, cap) != sol:
+            if sol_set_exhaustive(G, rep**k, cap) != sol:
                 invariant = False
                 break
     flags["sol_generator_invariant"] = invariant
 
     elements = enumerate_elements(G, cap)
     conjugator = elements.raw()[len(elements) // 3]
-    moved = sol_set(G, Permutation._from_tuple(_conj(rep._img, conjugator)), cap)
+    moved = sol_set_exhaustive(
+        G, Permutation._from_tuple(_conj(rep._img, conjugator)), cap
+    )
     expected = {_conj(t, conjugator) for t in sol.raw()}
     flags["sol_conjugation_equivariant"] = moved.raw_set() == expected
 

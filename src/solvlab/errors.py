@@ -99,6 +99,10 @@ class NormalizerIsWholeGroup(SolvLabError):
     """The bound needs an element outside N_G(<x>), but N_G(<x>) = G."""
 
 
+class EngineInvariantViolated(SolvLabError):
+    """A fact that holds for every input failed; signals an engine bug."""
+
+
 class DerivedDepthExceeded(SolvLabError):
     """Derived series failed to stabilize within the depth limit (engine bug guard)."""
 

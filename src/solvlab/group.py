@@ -221,7 +221,8 @@ class PermGroup:
 
     Instances are immutable after construction; the private cache only holds
     results of pure computations (element lists, class data, solubility,
-    centralizers and cyclic normalizers of members).
+    centralizers and cyclic normalizers of members, quotients, and the
+    solubilizer sets, records and pair verdicts of members).
     """
 
     __slots__ = ("degree", "generators", "_chain", "_cache")
@@ -609,12 +610,18 @@ def quotient_by_normal(
     """The quotient G/N as the action on right cosets of N, with projection.
 
     The coset of the identity is point 1; remaining cosets are numbered by
-    the canonical order of their least members.
+    the canonical order of their least members.  Memoized per group, keyed
+    by the element set of N, so the quotient and its own memos are reused.
     """
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
     elements = enumerate_elements(G, cap)
-    n_members = enumerate_elements(N, cap).raw()
+    n_elements = enumerate_elements(N, cap)
+    table = G._cache.setdefault("quotient", {})
+    key = n_elements.raw_set()
+    if key in table:
+        return table[key]
+    n_members = n_elements.raw()
     coset_of: dict[Tup, int] = {}
     reps: list[Tup] = []
     for t in elements.raw():
@@ -638,7 +645,8 @@ def quotient_by_normal(
             raise NotInGroup("element outside the quotient's source group")
         return project(t)
 
-    return quotient, GroupHom(G, quotient, raw_map)
+    table[key] = (quotient, GroupHom(G, quotient, raw_map))
+    return table[key]
 
 
 def orbit_of_point(G: PermGroup, point: int) -> set[int]:

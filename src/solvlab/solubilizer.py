@@ -4,8 +4,10 @@ For x in a finite group G, the solubilizer of x is
 
     sol(G, x) = {g in G : the subgroup generated by x and g is soluble}.
 
-This module computes that set by exhaustive scan (with a per-group memo of
-two-generator solubility verdicts), aggregates per-element records, counts
+This module computes that set exactly with one two-generator solubility
+test per orbit of a group action that leaves the verdict unchanged (see
+sol_set), keeps the exhaustive scan over every g as an independent oracle
+(sol_set_exhaustive), aggregates per-element records, counts
 conjugation orbits on the set two independent ways, and evaluates the exact
 counting identities that a correct engine must satisfy: the weighted orbit
 identity over a subgroup H between the centralizer and the cyclic
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     BurnsideNonIntegral,
+    EngineInvariantViolated,
     GroupSoluble,
     NormalizerIsWholeGroup,
     NotInGroup,
@@ -55,6 +59,7 @@ __all__ = [
     "FrobeniusFinding",
     "PqFinding",
     "sol_set",
+    "sol_set_exhaustive",
     "sol_record",
     "soluble_radical",
     "orbit_count",
@@ -111,16 +116,82 @@ def _pair_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
     return verdict
 
 
+def _sol_is_everything(G: PermGroup, xt: Tup) -> bool:
+    """Shortcuts where every pair subgroup is soluble: G soluble, or x central
+    (then every pair subgroup is abelian)."""
+    return is_soluble(G) or all(
+        _mul(xt, g) == _mul(g, xt) for g in (h._img for h in G.generators)
+    )
+
+
 def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
-    """All g in G such that the subgroup generated by x and g is soluble."""
+    """All g in G such that the subgroup generated by x and g is soluble.
+
+    Exact, with one pair test per orbit of the maps g -> xg, g -> gx,
+    g -> g^k for k coprime to the order of g (g^-1 among them) and
+    g -> n^-1 g n for the generators n of N_G(<x>).  The first three leave
+    <x, g> unchanged; the last conjugates it by n, which fixes <x>.  So
+    every member of an orbit has the verdict of the one pair that is tested.
+    Memoized per group, keyed by x; sol_set_exhaustive is the oracle.
+    """
     if x not in G:
         raise NotInGroup(f"{x!r} is not an element of {G!r}")
     elements = enumerate_elements(G, cap)
-    if is_soluble(G):
-        return elements
     xt = x._img
-    if all(_mul(xt, g) == _mul(g, xt) for g in (h._img for h in G.generators)):
-        # x is central, so every pair subgroup is abelian
+    table = G._cache.setdefault("sol_set", {})
+    found = table.get(xt)
+    if found is None:
+        if _sol_is_everything(G, xt):
+            found = elements
+        else:
+            found = _orbit_scan(G, x, elements, cap)
+        table[xt] = found
+    return found
+
+
+def _orbit_scan(G: PermGroup, x: Permutation, elements: ElementSet, cap: int) -> ElementSet:
+    xt = x._img
+    n_gens = [n._img for n in normalizer_of_cyclic(G, x, cap).generators]
+    # Propagated verdicts stay local: the pair memo only ever holds the
+    # results of real pair tests, which the oracle may read.
+    verdicts: dict[Tup, bool] = {}
+    # members whose cyclic group's generators are already in verdicts
+    generators_done: set[Tup] = set()
+    for g in elements.raw():
+        if g in verdicts:
+            continue
+        verdict = _pair_soluble(G, xt, g)
+        verdicts[g] = verdict
+        frontier = [g]
+        while frontier:
+            y = frontier.pop()
+            images = [_mul(xt, y), _mul(y, xt)]
+            images.extend(_conj(y, n) for n in n_gens)
+            if y not in generators_done:
+                powers = _cyclic_tuples(y)
+                order = len(powers)
+                same = [powers[k] for k in range(1, order) if gcd(k, order) == 1]
+                generators_done.update(same)
+                images.extend(same)
+            for z in images:
+                if z not in verdicts:
+                    verdicts[z] = verdict
+                    frontier.append(z)
+    # the canonical tuples of the element list, not the orbit's copies
+    return ElementSet(G.degree, (t for t in elements.raw() if verdicts[t]))
+
+
+def sol_set_exhaustive(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
+    """The same set as sol_set, by one pair test per element of G.
+
+    Not memoized and blind to the orbit reduction; it is the oracle that
+    checks sol_set.
+    """
+    if x not in G:
+        raise NotInGroup(f"{x!r} is not an element of {G!r}")
+    elements = enumerate_elements(G, cap)
+    xt = x._img
+    if _sol_is_everything(G, xt):
         return elements
     return ElementSet(
         G.degree, (t for t in elements.raw() if _pair_soluble(G, xt, t))
@@ -161,13 +232,24 @@ def _closed_under_product(degree: int, members: ElementSet) -> bool:
 
 
 def sol_record(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> SolubilizerRecord:
-    """Compute the full solubilizer record for one element."""
+    """Compute the full solubilizer record for one element; memoized per group."""
     sol = sol_set(G, x, cap)
+    table = G._cache.setdefault("sol_record", {})
+    record = table.get(x._img)
+    if record is not None:
+        return record
     n_x = normalizer_of_cyclic(G, x, cap)
     c_x = centralizer(G, x, cap)
     nx_order = n_x.order()
     cx_order = c_x.order()
     size = len(sol)
+    # Facts that hold unconditionally; a violation is an engine bug.
+    if size % cx_order != 0:
+        raise EngineInvariantViolated("centralizer order must divide the solubilizer size")
+    if x not in sol or G.identity() not in sol:
+        raise EngineInvariantViolated("x and the identity must lie in the solubilizer")
+    if not enumerate_elements(n_x, cap).raw_set() <= sol.raw_set():
+        raise EngineInvariantViolated("the cyclic normalizer must lie in the solubilizer")
     ell_cx = orbit_count(c_x, sol)
     ell_nx = orbit_count(n_x, sol)
     record = SolubilizerRecord(
@@ -183,10 +265,7 @@ def sol_record(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> Solubili
         is_subgroup=_closed_under_product(G.degree, sol),
         equals_nx=size == nx_order,
     )
-    # Facts that hold unconditionally; a violation is an engine bug.
-    assert size % cx_order == 0, "centralizer order must divide the solubilizer size"
-    assert x in sol and G.identity() in sol
-    assert all(t in sol.raw_set() for t in enumerate_elements(n_x, cap).raw())
+    table[x._img] = record
     return record
 
 
@@ -271,13 +350,13 @@ def n_value(G: PermGroup, g: Permutation, x: Permutation, cap: int = DEFAULT_CAP
     """The reduced rational |sol restricted to C_G(g)| / |N_x meet C_G(g)|."""
     if x not in G:
         raise NotInGroup(f"{x!r} is not an element of {G!r}")
-    xt = x._img
     n_x = normalizer_of_cyclic(G, x, cap)
     if g not in n_x:
         raise NotInGroup("the weighting element must normalize the cyclic group of x")
     cg = centralizer(G, g, cap)
     cg_elements = enumerate_elements(cg, cap).raw()
-    numerator = sum(1 for t in cg_elements if _pair_soluble(G, xt, t))
+    sol_members = sol_set(G, x, cap).raw_set()
+    numerator = sum(1 for t in cg_elements if t in sol_members)
     nx_members = enumerate_elements(n_x, cap).raw_set()
     denominator = sum(1 for t in cg_elements if t in nx_members)
     return Fraction(numerator, denominator)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import InvalidBase, InvalidParameter
+from .errors import EngineInvariantViolated, InvalidBase, InvalidParameter
 from .numtheory import factorize, is_prime_power, multiplicative_order
 
 __all__ = [
@@ -52,7 +52,8 @@ def _cyclotomic_value(d: int, q: int) -> int:
         elif mu == -1:
             denominator *= term
     value, remainder = divmod(numerator, denominator)
-    assert remainder == 0, "cyclotomic product must divide exactly"
+    if remainder != 0:
+        raise EngineInvariantViolated("cyclotomic product must divide exactly")
     return value
 
 
@@ -98,7 +99,8 @@ def primitive_prime_divisors(q: int, d: int) -> ZsigmondyResult:
             part //= p
     primes = sorted(factorize(part))
     ordered = [r for r in primes if multiplicative_order(q % r, r) == d]
-    assert ordered == primes, "stripped cyclotomic factors must all have order d"
+    if ordered != primes:
+        raise EngineInvariantViolated("stripped cyclotomic factors must all have order d")
     return ZsigmondyResult(q, d, tuple(primes), part)
 
 
@@ -113,7 +115,6 @@ def zsigmondy_divides_qd_plus_1(q: int, d: int) -> bool:
     if not result.primitive_primes:
         return False
     target = q**d + 1
-    assert all(target % r == 0 for r in result.primitive_primes), (
-        "a prime of order 2d must divide q^d + 1"
-    )
+    if any(target % r != 0 for r in result.primitive_primes):
+        raise EngineInvariantViolated("a prime of order 2d must divide q^d + 1")
     return True

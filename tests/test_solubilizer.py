@@ -6,9 +6,17 @@ in the solubility scan, the orbit counters or the normalizer code show up
 as value changes, not just as internal inconsistencies.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import solvlab
 
 from solvlab.errors import (
     GroupSoluble,
@@ -22,6 +30,7 @@ from solvlab.errors import (
 from solvlab.families import CatalogEntry, FamilySpec
 from solvlab.group import (
     ElementSet,
+    PermGroup,
     center,
     conjugacy_class_reps,
     cyclic_subgroup,
@@ -42,6 +51,7 @@ from solvlab.solubilizer import (
     quotient_sol_check,
     sol_record,
     sol_set,
+    sol_set_exhaustive,
     soluble_radical,
 )
 
@@ -144,6 +154,134 @@ class TestSolubleGroupsAreTrivialCases:
     def test_central_element_fast_path(self, sl2_5):
         z = [g for g in enumerate_elements(center(sl2_5)) if not g.is_identity()]
         assert len(sol_set(sl2_5, z[0])) == 120
+
+
+def fresh(family, *params):
+    return CatalogEntry.from_spec(FamilySpec(family, params)).group
+
+
+class TestReducedScanAgainstOracle:
+    """sol_set decides one pair per orbit; sol_set_exhaustive tests every pair.
+
+    The oracle always runs on a separately built copy of the group, so it
+    cannot read any pair verdict or set that the reduced scan memoized.
+    """
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("alternating", (5,)),
+            ("symmetric", (5,)),
+            ("psl3_2", ()),
+            ("sl2", (5,)),
+            ("alternating", (6,)),
+            ("psl2", (11,)),
+        ],
+    )
+    def test_every_class_representative(self, family, params):
+        G, oracle_copy = fresh(family, *params), fresh(family, *params)
+        for rep in conjugacy_class_reps(G):
+            assert sol_set(G, rep) == sol_set_exhaustive(oracle_copy, rep)
+
+    @given(
+        st.sampled_from([6, 7]).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(1, n + 1)),
+                st.permutations(range(1, n + 1)),
+                st.integers(min_value=0),
+            )
+        )
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_random_two_generator_subgroups(self, drawn):
+        a, b, index = drawn
+        gens = [Permutation(a), Permutation(b)]
+        G, oracle_copy = PermGroup(len(a), gens), PermGroup(len(a), gens)
+        elements = enumerate_elements(G)
+        x = Permutation._from_tuple(elements.raw()[index % len(elements)])
+        assert sol_set(G, x) == sol_set_exhaustive(oracle_copy, x)
+
+    def test_memoized_and_few_pair_tests(self):
+        G = fresh("psl2", 13)
+        x = first_element_of_order(G, 13)
+        first = sol_set(G, x)
+        assert sol_set(G, x) is first
+        xt = x._img
+        tested = [key for key in G._cache["pair_soluble"] if xt in key]
+        assert len(tested) < G.order()
+
+    def test_records_are_shared(self, a5):
+        x = first_element_of_order(a5, 3)
+        assert sol_record(a5, x) is sol_record(a5, x)
+
+
+class TestInvariantsUnderOptimize:
+    """Engine invariants raise EngineInvariantViolated, which python -O keeps."""
+
+    PRELUDE = """
+import sys
+from solvlab.errors import EngineInvariantViolated
+assert sys.flags.optimize == 1 and not __debug__
+
+def expect(call):
+    try:
+        call()
+    except EngineInvariantViolated:
+        print("raised")
+    else:
+        print("missed")
+"""
+
+    SOLUBILIZER = """
+import solvlab.solubilizer as s
+from solvlab.families import CatalogEntry, FamilySpec
+from solvlab.group import ElementSet, enumerate_elements, first_element_of_order
+
+G = CatalogEntry.from_spec(FamilySpec("alternating", (5,))).group
+x = first_element_of_order(G, 5)
+real = s.sol_set(G, x).raw()  # the ten elements of N_G(<x>) = D_10
+outside = next(t for t in enumerate_elements(G).raw() if t not in real)
+involution = next(t for t in real if s._order(t) == 2)
+
+def with_sol(members):
+    def call():
+        s.sol_set = lambda G, x, cap: ElementSet(G.degree, members)
+        s.sol_record(G, x)
+    return call
+
+expect(with_sol([t for t in real if t != x._img]))  # |C_G(x)| = 5 does not divide 9
+expect(with_sol([t for t in real if t != x._img] + [outside]))  # x is missing
+expect(with_sol([t for t in real if t != involution] + [outside]))  # N_G(<x>) is not inside
+"""
+
+    ZSIGMONDY = """
+import solvlab.zsigmondy as z
+
+real_mobius, real_order = z._mobius, z.multiplicative_order
+z._mobius = lambda n: -1 if n == 1 else 1
+expect(lambda: z._cyclotomic_value(4, 2))  # 3 / 15 leaves a remainder
+z._mobius = real_mobius
+z.multiplicative_order = lambda a, r: 0
+expect(lambda: z.primitive_prime_divisors(2, 11))  # 23 and 89 no longer have order 11
+z.multiplicative_order = real_order
+z.primitive_prime_divisors = lambda q, d: z.ZsigmondyResult(q, d, (7,), 7)
+expect(lambda: z.zsigmondy_divides_qd_plus_1(2, 4))  # 7 does not divide 2^4 + 1
+"""
+
+    @pytest.mark.parametrize("body", [SOLUBILIZER, ZSIGMONDY], ids=["sol_record", "zsigmondy"])
+    def test_each_invariant_raises(self, body):
+        src = str(Path(solvlab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", self.PRELUDE + body],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["raised"] * 3
 
 
 class TestCountingIdentities:
