@@ -36,6 +36,7 @@ from .solubilizer import (
     pq_scan,
     quotient_sol_check,
     sol_record,
+    sol_set,
     sol_set_exhaustive,
     soluble_radical,
 )
@@ -184,8 +185,10 @@ def run_entry_checks(entry: CatalogEntry, checks: tuple[str, ...], cap: int = DE
 def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
     """Divisibility, invariance and structure properties of one solubilizer.
 
-    The invariance and equivariance flags rescan with sol_set_exhaustive, so
-    they also check the orbit-reduced sol_set behind the record."""
+    The invariance flag compares the record with the orbit-reduced scans for
+    the other generators of <x>.  The equivariance flag rescans a conjugate
+    of x with sol_set_exhaustive, so every representative's reduced set is
+    also checked against the independent oracle."""
     sol = record.sol
     order = G.order()
     flags["cx_divides_sol"] = record.sol_size % record.c_x.order() == 0
@@ -194,7 +197,7 @@ def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
     invariant = True
     for k in range(2, x_order):
         if math.gcd(k, x_order) == 1:
-            if sol_set_exhaustive(G, rep**k, cap) != sol:
+            if sol_set(G, rep**k, cap) != sol:
                 invariant = False
                 break
     flags["sol_generator_invariant"] = invariant

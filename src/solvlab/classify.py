@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NotConstructible
+from .errors import InvalidParameter, NotConstructible
 from .families import FamilySpec, make_family
 from .group import (
     DEFAULT_CAP,
@@ -61,10 +61,13 @@ class ClassifierRow:
     discrepancy: str | None = None
 
     def __post_init__(self):
-        assert is_prime(self.q_prime) and is_prime(self.p_prime)
-        assert self.p_prime <= self.q_prime
-        if self.in_theorem44:
-            assert (self.q_prime - 1) % self.p_prime == 0
+        p, q = self.p_prime, self.q_prime
+        if not (is_prime(q) and is_prime(p)):
+            raise InvalidParameter(f"p = {p} and q = {q} must be primes")
+        if p > q:
+            raise InvalidParameter(f"p = {p} exceeds q = {q}")
+        if self.in_theorem44 and (q - 1) % p != 0:
+            raise InvalidParameter(f"a Theorem 4.4 row needs p = {p} dividing q - 1")
 
     def label(self) -> str:
         if self.family in ("m23", "baby_monster", "monster"):
@@ -183,9 +186,6 @@ class CrossValidation:
     details: dict = field(default_factory=dict)
 
 
-_GROUP_CACHE: dict[FamilySpec, PermGroup] = {}
-
-
 def _construct(row: ClassifierRow, cap: int) -> PermGroup:
     if row.family.startswith("psl2_"):
         r = row.parameters[0]
@@ -198,11 +198,7 @@ def _construct(row: ClassifierRow, cap: int) -> PermGroup:
         raise NotConstructible(
             f"{row.label()} has order {spec.order()} beyond the cap {cap}"
         )
-    group = _GROUP_CACHE.get(spec)
-    if group is None:
-        group = make_family(spec)
-        _GROUP_CACHE[spec] = group
-    return group
+    return make_family(spec)
 
 
 def cross_validate(row: ClassifierRow, cap: int = DEFAULT_CAP) -> CrossValidation:
@@ -249,10 +245,10 @@ def cross_validate(row: ClassifierRow, cap: int = DEFAULT_CAP) -> CrossValidatio
         if not record.equals_nx:
             problems.append("solubilizer differs from the cyclic normalizer")
         else:
-            sol_group = PermGroup.from_elements(group.degree, record.sol.raw())
-            if not is_maximal(group, sol_group, cap):
+            # the solubilizer is the cyclic normalizer, which is a group
+            if not is_maximal(group, record.n_x, cap):
                 problems.append("solubilizer is not maximal")
-            tag = structure_tag(sol_group, cap)
+            tag = structure_tag(record.n_x, cap)
             details["structure"] = tag
             expected = _normalize_structure(row.maximal_structure)
             if _normalize_structure(tag) != expected:

@@ -5,8 +5,9 @@ verify (catalog-wide property sweeps), classify (order-pq maximal-subgroup
 search), zsigmondy (primitive prime divisors).
 
 Exit codes: 0 all checks passed, 2 a mathematical counterexample was found,
-1 usage or input error.  The three are never conflated; argparse's default
-exit code is overridden to keep usage errors at 1.
+1 usage or input error, 3 an engine invariant failed (a bug in solvlab, not
+a counterexample).  The four are never conflated; argparse's default exit
+code is overridden to keep usage errors at 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from .checks import CHECK_TOKENS, _ratio_str, run_catalog_checks
 from .classify import cross_validate, table2_enumerate, theorem44_enumerate
 from .cycles import format_cycles, parse_cycles
-from .errors import InvalidParameter, NotInGroup, SolvLabError
+from .errors import EngineInvariantViolated, InvalidParameter, NotInGroup, SolvLabError
 from .families import CatalogEntry, FamilySpec, load_group_file
 from .group import (
     DEFAULT_CAP,
@@ -373,6 +374,12 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
+    except EngineInvariantViolated as exc:
+        print(
+            f"solv-lab: engine invariant violated (a bug, not a counterexample): {exc}",
+            file=sys.stderr,
+        )
+        return 3
     except SolvLabError as exc:
         print(f"solv-lab: error: {exc}", file=sys.stderr)
         return 1

@@ -481,20 +481,30 @@ def cyclic_subgroup(G: PermGroup, x: Permutation) -> PermGroup:
     return PermGroup.from_elements(G.degree, _cyclic_tuples(x._img))
 
 
-def conjugacy_class(G: PermGroup, x: Permutation) -> ElementSet:
-    """The G-conjugacy class of x, grown by generator conjugation."""
-    if x not in G:
-        raise NotInGroup("x is not a member of G")
-    gens = [g._img for g in G.generators]
-    seen = {x._img}
-    queue = [x._img]
-    for t in queue:
-        for g in gens:
-            c = _conj(t, g)
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return ElementSet(G.degree, seen)
+def _conjugation_orbits(gens: list[Tup], members: ElementSet) -> list[list[Tup]] | None:
+    """The orbits of conjugation by gens on members, or None if one leaves them.
+
+    members are walked in canonical order, so each orbit is led by its least
+    member and the orbits come in the order of their leaders.
+    """
+    inside = members.raw_set()
+    seen: set[Tup] = set()
+    orbits: list[list[Tup]] = []
+    for t in members.raw():
+        if t in seen:
+            continue
+        seen.add(t)
+        orbit = [t]
+        for u in orbit:
+            for g in gens:
+                c = _conj(u, g)
+                if c not in seen:
+                    if c not in inside:
+                        return None
+                    seen.add(c)
+                    orbit.append(c)
+        orbits.append(orbit)
+    return orbits
 
 
 def _class_partition(G: PermGroup, cap: int) -> tuple[list[Tup], dict[Tup, ElementSet]]:
@@ -502,26 +512,9 @@ def _class_partition(G: PermGroup, cap: int) -> tuple[list[Tup], dict[Tup, Eleme
     if cached is not None:
         return cached
     elements = enumerate_elements(G, cap)
-    gens = [g._img for g in G.generators]
-    remaining = set(elements.raw())
-    reps: list[Tup] = []
-    classes: dict[Tup, ElementSet] = {}
-    for t in elements.raw():
-        if t not in remaining:
-            continue
-        seen = {t}
-        queue = [t]
-        for u in queue:
-            for g in gens:
-                c = _conj(u, g)
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        # scanning in canonical order makes t the least member of its class
-        reps.append(t)
-        classes[t] = ElementSet(G.degree, seen)
-        remaining -= seen
-    reps.sort(key=lambda t: (_order(t), t))
+    orbits = _conjugation_orbits([g._img for g in G.generators], elements)
+    classes = {orbit[0]: ElementSet(G.degree, orbit) for orbit in orbits}
+    reps = sorted(classes, key=lambda t: (_order(t), t))
     out = (reps, classes)
     G._cache["classes"] = out
     return out
@@ -534,12 +527,14 @@ def conjugacy_class_reps(G: PermGroup, cap: int = DEFAULT_CAP) -> list[Permutati
 
 
 def class_of_rep(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
-    """Class lookup that reuses the cached partition when x is a stored rep."""
+    """The conjugacy class of x, looked up in the cached partition of G."""
     _, classes = _class_partition(G, cap)
     found = classes.get(x._img)
-    if found is not None:
-        return found
-    return conjugacy_class(G, x)
+    if found is None:
+        if x not in G:
+            raise NotInGroup("x is not a member of G")
+        found = next(c for c in classes.values() if x._img in c.raw_set())
+    return found
 
 
 def first_element_of_order(G: PermGroup, k: int, cap: int = DEFAULT_CAP) -> Permutation | None:

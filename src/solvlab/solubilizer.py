@@ -39,6 +39,7 @@ from .group import (
     ElementSet,
     PermGroup,
     StabilizerChain,
+    _conjugation_orbits,
     _cyclic_tuples,
     _soluble_from_gens,
     centralizer,
@@ -282,12 +283,17 @@ def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
         if len(sol_set(G, rep, cap)) == len(whole):
             member_tuples.extend(class_of_rep(G, rep, cap).raw())
     radical = PermGroup.from_elements(G.degree, member_tuples or [_identity(G.degree)])
-    assert is_normal(G, radical)
-    assert is_soluble(radical)
-    assert all(
+    if not is_normal(G, radical):
+        raise EngineInvariantViolated("the soluble radical must be normal")
+    if not is_soluble(radical):
+        raise EngineInvariantViolated("the soluble radical must be soluble")
+    if not all(
         len(sol_set(G, Permutation._from_tuple(t), cap)) == len(whole)
         for t in member_tuples
-    )
+    ):
+        raise EngineInvariantViolated(
+            "every member of the soluble radical must have the whole group as solubilizer"
+        )
     return radical
 
 
@@ -306,24 +312,12 @@ def _check_invariant(H: PermGroup, Y: ElementSet) -> None:
 
 def orbit_count(H: PermGroup, Y: ElementSet) -> int:
     """Number of orbits of H acting on Y by conjugation (direct partition)."""
-    _check_invariant(H, Y)
-    gens = [h._img for h in H.generators]
-    seen: set[Tup] = set()
-    count = 0
-    for start in Y.raw():
-        if start in seen:
-            continue
-        count += 1
-        frontier = [start]
-        seen.add(start)
-        while frontier:
-            y = frontier.pop()
-            for g in gens:
-                z = _conj(y, g)
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
-    return count
+    if H.degree != Y.degree:
+        raise NotInvariantSet("acting group and set have different degrees")
+    orbits = _conjugation_orbits([h._img for h in H.generators], Y)
+    if orbits is None:
+        raise NotInvariantSet("set is not closed under conjugation by the acting group")
+    return len(orbits)
 
 
 def burnside_orbit_count(H: PermGroup, Y: ElementSet, cap: int = DEFAULT_CAP) -> int:
@@ -386,28 +380,15 @@ def _nx_orbit_reps(n_x: PermGroup, H: PermGroup, cap: int) -> list[Permutation]:
     Each representative is the canonically least member of its orbit and the
     list is sorted, which keeps downstream sums deterministic.
     """
-    gens = [h._img for h in n_x.generators]
-    idn = _identity(H.degree)
-    pending = set(enumerate_elements(H, cap).raw()) - {idn}
-    reps: list[Tup] = []
-    while pending:
-        start = min(pending)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            y = frontier.pop()
-            for g in gens:
-                z = _conj(y, g)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        if not orbit <= pending:
-            raise SubgroupChainViolated(
-                "H is not invariant under conjugation by the cyclic normalizer"
-            )
-        reps.append(start)
-        pending -= orbit
-    return [Permutation._from_tuple(t) for t in reps]
+    orbits = _conjugation_orbits(
+        [h._img for h in n_x.generators], enumerate_elements(H, cap)
+    )
+    if orbits is None:
+        raise SubgroupChainViolated(
+            "H is not invariant under conjugation by the cyclic normalizer"
+        )
+    # the identity is the least element, so its one-point orbit leads
+    return [Permutation._from_tuple(orbit[0]) for orbit in orbits[1:]]
 
 
 def lemma32_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT_CAP) -> int:
@@ -449,7 +430,10 @@ def eq1_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT_CAP
         cg_elements = enumerate_elements(cg, cap).raw()
         meet = sum(1 for t in cg_elements if t in nx_members)
         index, remainder = divmod(len(cg_elements), meet)
-        assert remainder == 0, "intersection order must divide the centralizer order"
+        if remainder != 0:
+            raise EngineInvariantViolated(
+                "intersection order must divide the centralizer order"
+            )
         index_sum += index
     h_order = H.order()
     return ell_h - G.order() // h_order - (n_x.order() // h_order) * index_sum

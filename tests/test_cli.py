@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from solvlab import solubilizer
 from solvlab.cli import main
 from solvlab.families import CatalogEntry, FamilySpec, save_group_file
+from solvlab.group import ElementSet
 
 
 def run(capsys, *argv):
@@ -118,6 +120,18 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: solv-lab")
         assert "unrecognized arguments: " + argv[-2] in err
+
+
+class TestEngineInvariantExit:
+    def test_corrupted_sol_set_exits_3(self, capsys, monkeypatch):
+        # a solubilizer without the identity breaks an invariant of sol_record
+        monkeypatch.setattr(
+            solubilizer, "sol_set", lambda G, x, cap: ElementSet(G.degree, [x._img])
+        )
+        code, out, err = run(capsys, "sol", "--family", "a:5", "--order", "5")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("solv-lab: engine invariant violated")
 
 
 class TestTable1:

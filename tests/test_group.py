@@ -195,6 +195,18 @@ class TestConjugacyClasses:
             assert not (members & seen)
             seen |= members
 
+    def test_class_of_non_representative_brute_force(self, a5, s4):
+        for G in (a5, s4):
+            members = list(enumerate_elements(G))
+            reps = {r._img for r in conjugacy_class_reps(G)}
+            others = [x for x in members if x._img not in reps]
+            assert others
+            for x in others:
+                brute = {g.inverse() * x * g for g in members}
+                assert set(class_of_rep(G, x)) == brute
+        with pytest.raises(NotInGroup):
+            class_of_rep(a5, parse_cycles("(1,2)", 5))
+
     def test_class_count_matches_sympy(self, s4, psl2_7):
         for G in (s4, psl2_7):
             reps = conjugacy_class_reps(G)

@@ -40,6 +40,7 @@ from solvlab.group import (
 )
 from solvlab.perm import Permutation
 from solvlab.solubilizer import (
+    _nx_orbit_reps,
     burnside_orbit_count,
     eq1_check,
     frobenius_structure,
@@ -216,17 +217,18 @@ class TestReducedScanAgainstOracle:
 
 
 class TestInvariantsUnderOptimize:
-    """Engine invariants raise EngineInvariantViolated, which python -O keeps."""
+    """Engine invariants raise EngineInvariantViolated, and argument checks
+    InvalidParameter, both of which python -O keeps."""
 
     PRELUDE = """
 import sys
-from solvlab.errors import EngineInvariantViolated
+from solvlab.errors import EngineInvariantViolated, InvalidParameter
 assert sys.flags.optimize == 1 and not __debug__
 
-def expect(call):
+def expect(call, error=EngineInvariantViolated):
     try:
         call()
-    except EngineInvariantViolated:
+    except error:
         print("raised")
     else:
         print("missed")
@@ -268,8 +270,77 @@ z.primitive_prime_divisors = lambda q, d: z.ZsigmondyResult(q, d, (7,), 7)
 expect(lambda: z.zsigmondy_divides_qd_plus_1(2, 4))  # 7 does not divide 2^4 + 1
 """
 
-    @pytest.mark.parametrize("body", [SOLUBILIZER, ZSIGMONDY], ids=["sol_record", "zsigmondy"])
-    def test_each_invariant_raises(self, body):
+    RADICAL = """
+import solvlab.solubilizer as s
+from solvlab.families import CatalogEntry, FamilySpec
+from solvlab.group import ElementSet, class_of_rep, conjugacy_class_reps, enumerate_elements
+
+a5 = CatalogEntry.from_spec(FamilySpec("alternating", (5,))).group
+s4 = CatalogEntry.from_spec(FamilySpec("symmetric", (4,))).group
+reps = conjugacy_class_reps(s4)
+identity = reps[0]._img
+involutions = [r for r in reps if r.order() == 2]
+transposition = next(r._img for r in involutions if len(class_of_rep(s4, r)) == 6)
+double = next(r._img for r in involutions if len(class_of_rep(s4, r)) == 3)
+
+def whole_for(chosen):
+    # the whole group for the chosen elements, a one-element set otherwise
+    return lambda G, x, cap: (
+        enumerate_elements(G, cap) if x._img in chosen else ElementSet(G.degree, [x._img])
+    )
+
+def radical(G, sol_set, class_of_rep=s.class_of_rep):
+    def call():
+        s.sol_set, s.class_of_rep = sol_set, class_of_rep
+        s.soluble_radical(G)
+    return call
+
+# {1, (a,b)} is not normal in S4
+just_x = lambda G, x, cap: ElementSet(G.degree, [x._img])
+expect(radical(s4, whole_for({identity, transposition}), just_x))
+# A5 is not soluble
+expect(radical(a5, lambda G, x, cap: enumerate_elements(G, cap)))
+# V4 is a soluble normal subgroup, but only its class representative has sol = S4
+expect(radical(s4, whole_for({identity, double})))
+"""
+
+    EQ1 = """
+import solvlab.solubilizer as s
+from solvlab.families import CatalogEntry, FamilySpec
+from solvlab.group import ElementSet, PermGroup, enumerate_elements, first_element_of_order
+
+G = CatalogEntry.from_spec(FamilySpec("symmetric", (4,))).group
+x = first_element_of_order(G, 4)
+n_x = s.normalizer_of_cyclic(G, x)
+outside = next(t for t in enumerate_elements(G).raw() if not n_x._contains_tuple(t))
+real_centralizer = s.centralizer
+
+def centralizer(G, g, cap):
+    if g == x:
+        return real_centralizer(G, g, cap)
+    # three elements, two of them in N_G(<x>): 2 does not divide 3
+    fake = PermGroup(G.degree, [])
+    fake._cache["elements"] = ElementSet(G.degree, [G.identity()._img, x._img, outside])
+    return fake
+
+s.centralizer = centralizer
+expect(lambda: s.eq1_check(G, x, n_x))
+"""
+
+    CLASSIFIER_ROW = """
+from solvlab.classify import ClassifierRow
+
+expect(lambda: ClassifierRow("psl2_fermat", (8,), 9, 2, "D_18", False), InvalidParameter)
+expect(lambda: ClassifierRow("psl2_cpct", (7,), 3, 7, "C_3:C_7", False), InvalidParameter)
+expect(lambda: ClassifierRow("psl2_cpct", (11,), 11, 3, "C_11:C_3", True), InvalidParameter)
+"""
+
+    @pytest.mark.parametrize(
+        "body,raises",
+        [(SOLUBILIZER, 3), (ZSIGMONDY, 3), (RADICAL, 3), (EQ1, 1), (CLASSIFIER_ROW, 3)],
+        ids=["sol_record", "zsigmondy", "soluble_radical", "eq1_check", "classifier_row"],
+    )
+    def test_each_invariant_raises(self, body, raises):
         src = str(Path(solvlab.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -281,7 +352,7 @@ expect(lambda: z.zsigmondy_divides_qd_plus_1(2, 4))  # 7 does not divide 2^4 + 1
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["raised"] * 3
+        assert result.stdout.split() == ["raised"] * raises
 
 
 class TestCountingIdentities:
@@ -358,6 +429,13 @@ class TestCountingIdentities:
         y = first_element_of_order(a5, 3)
         with pytest.raises(SubgroupChainViolated):
             lemma32_check(a5, x, cyclic_subgroup(a5, y))
+
+    def test_nx_orbit_reps_reject_a_non_normal_subgroup(self, a5):
+        x = first_element_of_order(a5, 5)
+        n_x = sol_record(a5, x).n_x  # D_10
+        involution = next(h for h in enumerate_elements(n_x) if h.order() == 2)
+        with pytest.raises(SubgroupChainViolated):
+            _nx_orbit_reps(n_x, cyclic_subgroup(a5, involution), 60)
 
 
 class TestSolubleRadical:
