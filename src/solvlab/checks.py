@@ -256,8 +256,11 @@ def run_catalog_checks(
     all_items = []
     all_counterexamples = []
     if jobs > 1:
+        # largest groups first, so that no long task starts last and runs alone
+        by_size = sorted(range(len(tasks)), key=lambda i: -specs[i].order())
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_spec_task, tasks))
+            futures = {i: pool.submit(_spec_task, tasks[i]) for i in by_size}
+            results = [futures[i].result() for i in range(len(tasks))]
     else:
         results = [_spec_task(t) for t in tasks]
     for items, counterexamples in results:

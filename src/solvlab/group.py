@@ -56,7 +56,7 @@ class StabilizerChain:
                 self._insert(r)
                 inserted = True
         if inserted:
-            self._verify_from(len(self.bases) - 1)
+            self.verify()
 
     def _sift(self, t: Tup, level: int) -> Tup:
         """Strip t through levels >= level; identity result means membership."""
@@ -142,6 +142,49 @@ class StabilizerChain:
             else:
                 i = self._insert(r)
         self._order = None
+
+    def sift_unverified(self, t: Tup) -> bool:
+        """Adjoin the sifted residue of t as a strong generator, skipping
+        Schreier verification; True if the chain grew.
+
+        Each basic orbit is extended in place from the new generator, so the
+        orbits stay the orbits of their levels' generators, all of which lie
+        in the generated group H and fix the earlier base points.  order()
+        is then the product of the basic orbit lengths, a lower bound on |H|
+        that verify() makes exact.
+        """
+        idn = _identity(self.degree)
+        r = self._sift(t, 0)
+        if r == idn:
+            return False
+        for j in range(self._insert(r) + 1):
+            orbit, inv, gens = self.orbits[j], self.orbit_inv[j], self.gens[j]
+            if orbit:
+                # the old points are closed under the old generators
+                queue = []
+                for delta in list(orbit):
+                    gamma = r[delta]
+                    if gamma not in orbit:
+                        v = _mul(orbit[delta], r)
+                        orbit[gamma], inv[gamma] = v, _inv(v)
+                        queue.append(gamma)
+            else:
+                base = self.bases[j]
+                orbit[base] = inv[base] = idn
+                queue = [base]
+            for delta in queue:
+                u = orbit[delta]
+                for s in gens:
+                    gamma = s[delta]
+                    if gamma not in orbit:
+                        v = _mul(u, s)
+                        orbit[gamma], inv[gamma] = v, _inv(v)
+                        queue.append(gamma)
+        return True
+
+    def verify(self) -> None:
+        """Complete the chain by Schreier-Sims; order() is exact afterwards."""
+        self._verify_from(len(self.bases) - 1)
 
     def extend(self, t: Tup) -> bool:
         """Adjoin t to the generated group; True if the group grew."""

@@ -19,6 +19,7 @@ point anywhere in this module.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -86,35 +87,111 @@ def _powers_set(G: PermGroup, t: Tup) -> frozenset:
 
 
 def _pair_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
-    """Whether the subgroup of G generated by two elements is soluble.
+    """Whether the subgroup H of G generated by two elements is soluble.
 
     Verdicts are memoized per group, keyed by the unordered pair of image
-    tuples.  Cheap sufficient conditions are tried before the derived-series
-    test; each one is an exact implication, never a heuristic:
-      - either element generates a subgroup containing the other: cyclic;
-      - one element normalizes the cyclic group of the other: the pair group
-        is cyclic-by-cyclic, hence soluble;
-      - the pair generates all of G: answer is the solubility of G itself.
+    tuples.  Each rule below is an exact implication, never a heuristic:
+      - either element is the identity or normalizes the cyclic group of the
+        other: H is cyclic-by-cyclic, hence soluble;
+      - generation certificate: a, b and a fixed sequence of words in them
+        are sifted into a stabilizer chain without Schreier verification.
+        Every strong generator lies in H, so the product of the basic orbit
+        lengths is a lower bound on |H|; once it reaches |G|, H = G and the
+        answer is the solubility of G itself;
+      - otherwise the chain is verified, which gives n = |H| exactly.  If
+        n = |G|, the answer is again the solubility of G.  Every group of
+        order n < 60 is soluble (A5, of order 60, is the smallest insoluble
+        group), and by Burnside's p^a q^b theorem so is every group whose
+        order has at most two prime divisors.  Only the remaining pairs run
+        the derived series.
+    _pair_soluble_chain, the test by one verified chain, is the oracle.
     """
     key = (a, b) if a <= b else (b, a)
     memo = G._cache.setdefault("pair_soluble", {})
     verdict = memo.get(key)
-    if verdict is not None:
-        return verdict
-    idn = _identity(G.degree)
-    if a == idn or b == idn:
-        verdict = True
-    elif _conj(a, b) in _powers_set(G, a) or _conj(b, a) in _powers_set(G, b):
-        verdict = True
-    else:
-        chain = StabilizerChain(G.degree, [a, b])
-        sub_order = chain.order()
-        if sub_order == G.order():
-            verdict = is_soluble(G)
-        else:
-            verdict = _soluble_from_gens(G.degree, [a, b], sub_order)
-    memo[key] = verdict
+    if verdict is None:
+        verdict = _cyclic_by_cyclic(G, a, b) or _generated_soluble(G, a, b)
+        memo[key] = verdict
     return verdict
+
+
+def _cyclic_by_cyclic(G: PermGroup, a: Tup, b: Tup) -> bool:
+    idn = _identity(G.degree)
+    return (
+        a == idn
+        or b == idn
+        or _conj(a, b) in _powers_set(G, a)
+        or _conj(b, a) in _powers_set(G, b)
+    )
+
+
+def _replacement_steps(count: int, seed: int) -> tuple[tuple[int, int], ...]:
+    rng = random.Random(seed)
+    steps: list[tuple[int, int]] = []
+    while len(steps) < count:
+        i, j = rng.randrange(4), rng.randrange(4)
+        if i != j:
+            steps.append((i, j))
+    return tuple(steps)
+
+
+# The words the generation certificate sifts after a and b: product
+# replacement with an accumulator, on four slots seeded with a, b, ab and
+# ba.  Step (i, j) multiplies slot i by slot j, then the accumulator by the
+# new slot i; the accumulator is the word sifted.  The steps are drawn once
+# from a fixed seed, so every run sifts the same words.
+_REPLACEMENT_STEPS = _replacement_steps(160, 7)
+# Consecutive sifts that add no strong generator before the certificate
+# gives up and the chain is verified.
+_IDLE_SIFT_LIMIT = 8
+_SMALLEST_INSOLUBLE_ORDER = 60
+
+
+def _certificate_words(a: Tup, b: Tup):
+    yield a
+    yield b
+    ab = _mul(a, b)
+    slots = [a, b, ab, _mul(b, a)]
+    word = ab
+    for i, j in _REPLACEMENT_STEPS:
+        slots[i] = _mul(slots[i], slots[j])
+        word = _mul(word, slots[i])
+        yield word
+
+
+def _generated_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
+    target = G.order()
+    chain = StabilizerChain(G.degree)
+    idle = 0
+    for w in _certificate_words(a, b):
+        if chain.sift_unverified(w):
+            if chain.order() == target:
+                return is_soluble(G)
+            idle = 0
+        else:
+            idle += 1
+            if idle == _IDLE_SIFT_LIMIT:
+                break
+    chain.verify()
+    n = chain.order()
+    if n == target:
+        return is_soluble(G)
+    if n < _SMALLEST_INSOLUBLE_ORDER or len(factorize(n)) <= 2:
+        return True
+    return _soluble_from_gens(G.degree, [a, b], n)
+
+
+def _pair_soluble_chain(G: PermGroup, a: Tup, b: Tup) -> bool:
+    """The same verdict as _pair_soluble, by one verified stabilizer chain
+    and then the derived series.  Not memoized; it is the oracle that checks
+    _pair_soluble."""
+    if _cyclic_by_cyclic(G, a, b):
+        return True
+    chain = StabilizerChain(G.degree, [a, b])
+    sub_order = chain.order()
+    if sub_order == G.order():
+        return is_soluble(G)
+    return _soluble_from_gens(G.degree, [a, b], sub_order)
 
 
 def _sol_is_everything(G: PermGroup, xt: Tup) -> bool:
@@ -324,13 +401,16 @@ def burnside_orbit_count(H: PermGroup, Y: ElementSet, cap: int = DEFAULT_CAP) ->
     """Same count via the averaged fixed-point sum over all of H."""
     _check_invariant(H, Y)
     members = Y.raw()
-    n = H.degree
-    rng = range(n)
+    rng = range(1, H.degree)
     total = 0
     for h in enumerate_elements(H, cap).raw():
-        # y is fixed by conjugation with h iff y and h commute
+        # y is fixed by conjugation with h iff y and h commute; comparing the
+        # images of point 0 first rejects most pairs at once
+        h0 = h[0]
         total += sum(
-            1 for y in members if all(h[y[i]] == y[h[i]] for i in rng)
+            1
+            for y in members
+            if h[y[0]] == y[h0] and all(h[y[i]] == y[h[i]] for i in rng)
         )
     order = H.order()
     if total % order != 0:
@@ -464,12 +544,17 @@ def frobenius_structure(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) ->
     frobenius = index > 1 and is_normal(n_x, c_x)
     if frobenius:
         idn = _identity(G.degree)
-        rng = range(G.degree)
+        rng = range(1, G.degree)
         for h in nx_members:
             if h in cx_members:
                 continue
+            h0 = h[0]
             for c in cx_members:
-                if c != idn and all(h[c[i]] == c[h[i]] for i in rng):
+                if (
+                    c != idn
+                    and h[c[0]] == c[h0]
+                    and all(h[c[i]] == c[h[i]] for i in rng)
+                ):
                     frobenius = False
                     break
             if not frobenius:

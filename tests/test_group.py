@@ -1,6 +1,7 @@
 """Core group machinery against brute-force oracles and sympy."""
 
 import itertools
+import random
 
 import pytest
 from sympy.combinatorics import Permutation as SymPerm
@@ -11,6 +12,7 @@ from solvlab.errors import NotInGroup, NotNormal, OrderExceedsCap
 from solvlab.families import CatalogEntry, FamilySpec
 from solvlab.group import (
     PermGroup,
+    StabilizerChain,
     center,
     centralizer,
     class_of_rep,
@@ -79,6 +81,24 @@ class TestOrderAndMembership:
         ]:
             G = CatalogEntry.from_spec(FamilySpec(family, params)).group
             assert G.order() == to_sympy(G).order()
+
+    def test_unverified_sifts_bound_the_order_from_below(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            a, b = (Permutation(rng.sample(range(1, 7), 6)) for _ in range(2))
+            order = SymGroup([SymPerm(list(a._img)), SymPerm(list(b._img))]).order()
+            chain = StabilizerChain(6)
+            for t in (a._img, b._img, (a * b)._img):
+                chain.sift_unverified(t)
+                assert chain.order() <= order
+            chain.verify()
+            assert chain.order() == order
+            # once every member has been sifted, the bound is exact unverified
+            chain = StabilizerChain(6)
+            for t in sorted(p._img for p in brute_closure(6, [a, b])):
+                chain.sift_unverified(t)
+                assert chain.order() <= order
+            assert chain.order() == order
 
 
 class TestSubgroups:

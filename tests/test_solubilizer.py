@@ -7,6 +7,7 @@ as value changes, not just as internal inconsistencies.
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SymPerm
+from sympy.combinatorics import PermutationGroup as SymGroup
 
 import solvlab
 
@@ -41,6 +44,8 @@ from solvlab.group import (
 from solvlab.perm import Permutation
 from solvlab.solubilizer import (
     _nx_orbit_reps,
+    _pair_soluble,
+    _pair_soluble_chain,
     burnside_orbit_count,
     eq1_check,
     frobenius_structure,
@@ -214,6 +219,61 @@ class TestReducedScanAgainstOracle:
     def test_records_are_shared(self, a5):
         x = first_element_of_order(a5, 3)
         assert sol_record(a5, x) is sol_record(a5, x)
+
+
+class TestPairTestAgainstChainOracle:
+    """_pair_soluble decides by a generation certificate and order theorems;
+    _pair_soluble_chain verifies one stabilizer chain per pair.
+
+    Each side runs on its own copy of the group, so neither reads a verdict
+    or a solubility flag the other cached.
+    """
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("alternating", (5,)),
+            ("symmetric", (5,)),
+            ("psl3_2", ()),
+            ("sl2", (5,)),
+        ],
+    )
+    def test_every_class_representative_pair(self, family, params):
+        G, oracle_copy = fresh(family, *params), fresh(family, *params)
+        wrong = [
+            (rep, g)
+            for rep in conjugacy_class_reps(G)
+            for g in enumerate_elements(G).raw()
+            if _pair_soluble(G, rep._img, g)
+            != _pair_soluble_chain(oracle_copy, rep._img, g)
+        ]
+        assert wrong == []
+
+    @given(
+        st.sampled_from([6, 7]).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(1, n + 1)),
+                st.permutations(range(1, n + 1)),
+            )
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_pairs_in_s6_and_s7(self, drawn):
+        a, b = (Permutation(p)._img for p in drawn)
+        n = len(a)
+        G, oracle_copy = fresh("symmetric", n), fresh("symmetric", n)
+        assert _pair_soluble(G, a, b) == _pair_soluble_chain(oracle_copy, a, b)
+
+    def test_seeded_sample_against_sympy(self):
+        rng = random.Random(20251018)
+        for n in (6, 7):
+            G = fresh("symmetric", n)
+            reps = [rep._img for rep in conjugacy_class_reps(G)]
+            elements = enumerate_elements(G).raw()
+            for _ in range(25):
+                a, b = rng.choice(reps), rng.choice(elements)
+                expected = SymGroup([SymPerm(list(a)), SymPerm(list(b))]).is_solvable
+                assert _pair_soluble(G, a, b) == expected, (a, b)
 
 
 class TestInvariantsUnderOptimize:
