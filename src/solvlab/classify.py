@@ -30,7 +30,7 @@ from .numtheory import (
     is_prime,
     is_prime_power,
 )
-from .perm import _conj, _inv
+from .perm import _conj, _inv, _order
 from .solubilizer import sol_record
 
 __all__ = [
@@ -284,12 +284,7 @@ def _has_inverting_involution(record) -> bool:
     xt = record.x._img
     x_inv = _inv(xt)
     for h in enumerate_elements(record.n_x).raw():
-        if _order_is_two(h) and _conj(xt, h) == x_inv:
+        if _order(h) == 2 and _conj(xt, h) == x_inv:
             return True
     return False
 
-
-def _order_is_two(t) -> bool:
-    return any(t[i] != i for i in range(len(t))) and all(
-        t[t[i]] == i for i in range(len(t))
-    )

@@ -20,7 +20,7 @@ generating set cannot slip through silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cycles import format_cycles, parse_cycles
 from .errors import CycleSyntaxError, FormatError, InvalidParameter

@@ -13,7 +13,7 @@ boundaries speak Permutation objects and 1-based points.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -259,6 +259,24 @@ class ElementSet:
         return f"ElementSet(degree={self.degree}, size={len(self._tuples)})"
 
 
+def _subgroup_gens(degree: int, members: Sequence[Tup]) -> list[Tup] | None:
+    """The members that grow one chain when adjoined in order, or None if
+    the distinct members are not closed under products.
+
+    The chain's group contains every member, so the members form a subgroup
+    exactly when its order never exceeds their number.
+    """
+    size = len(members)
+    chain = StabilizerChain(degree)
+    gens: list[Tup] = []
+    for t in members:
+        if chain.extend(t):
+            if chain.order() > size:
+                return None
+            gens.append(t)
+    return gens if chain.order() == size else None
+
+
 class PermGroup:
     """A permutation group given by generators, backed by a stabilizer chain.
 
@@ -298,18 +316,12 @@ class PermGroup:
         are kept as generators, so the generator list stays short.
         """
         members = sorted(set(raw))
-        chain = StabilizerChain(degree)
-        gens: list[Tup] = []
-        idn = _identity(degree)
-        for t in members:
-            if t != idn and not chain.contains(t):
-                chain.extend(t)
-                gens.append(t)
-        group = cls._from_raw(degree, gens)
-        if group.order() != len(members):
+        gens = _subgroup_gens(degree, members)
+        if gens is None:
             raise NotInGroup(
                 "element collection is not closed under multiplication"
             )
+        group = cls._from_raw(degree, gens)
         group._cache["elements"] = ElementSet(degree, members)
         return group
 
@@ -370,18 +382,6 @@ def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     return out
 
 
-def normal_closure(G: PermGroup, seeds: Iterable[Permutation]) -> PermGroup:
-    """Smallest normal subgroup of G containing the seed elements."""
-    seed_tuples = []
-    for p in seeds:
-        if p not in G:
-            raise NotInGroup(f"{p!r} is not a member of the ambient group")
-        seed_tuples.append(p._img)
-    gens = [g._img for g in G.generators]
-    closure_gens = _normal_closure_gens(G.degree, gens, seed_tuples)
-    return PermGroup._from_raw(G.degree, closure_gens)
-
-
 def _normal_closure_gens(degree: int, ambient_gens: list[Tup], seeds: list[Tup]) -> list[Tup]:
     """Generators of the normal closure of seeds under the ambient generators."""
     chain = StabilizerChain(degree)
@@ -410,26 +410,6 @@ def _derived_gens(degree: int, gens: list[Tup]) -> list[Tup]:
             if c != idn and c not in comms:
                 comms.append(c)
     return _normal_closure_gens(degree, gens, comms)
-
-
-def derived_subgroup(G: PermGroup) -> PermGroup:
-    """Commutator subgroup: normal closure of generator commutators."""
-    gens = [g._img for g in G.generators]
-    return PermGroup._from_raw(G.degree, _derived_gens(G.degree, gens))
-
-
-def derived_series(G: PermGroup) -> list[PermGroup]:
-    """G >= G' >= G'' >= ... down to stabilization (trivial iff soluble)."""
-    series = [G]
-    for _ in range(_DERIVED_DEPTH_LIMIT):
-        last = series[-1]
-        if last.order() == 1:
-            return series
-        nxt = derived_subgroup(last)
-        if nxt.order() == last.order():
-            return series
-        series.append(nxt)
-    raise DerivedDepthExceeded("derived series did not stabilize in 64 steps")
 
 
 def _soluble_from_gens(degree: int, gens: list[Tup], order: int) -> bool:
@@ -515,13 +495,6 @@ def _cyclic_tuples(x: Tup) -> list[Tup]:
         out.append(t)
         t = _mul(t, x)
     return out
-
-
-def cyclic_subgroup(G: PermGroup, x: Permutation) -> PermGroup:
-    """<x> as a subgroup of G."""
-    if x not in G:
-        raise NotInGroup("x is not a member of G")
-    return PermGroup.from_elements(G.degree, _cyclic_tuples(x._img))
 
 
 def _conjugation_orbits(gens: list[Tup], members: ElementSet) -> list[list[Tup]] | None:
@@ -631,17 +604,6 @@ def is_maximal(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     return True
 
 
-def center(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
-    """Z(G), elements commuting with every generator."""
-    gens = [g._img for g in G.generators]
-    members = [
-        t
-        for t in enumerate_elements(G, cap).raw()
-        if all(_mul(t, g) == _mul(g, t) for g in gens)
-    ]
-    return PermGroup.from_elements(G.degree, members)
-
-
 def quotient_by_normal(
     G: PermGroup, N: PermGroup, cap: int = DEFAULT_CAP
 ) -> tuple[PermGroup, GroupHom]:
@@ -685,31 +647,6 @@ def quotient_by_normal(
 
     table[key] = (quotient, GroupHom(G, quotient, raw_map))
     return table[key]
-
-
-def orbit_of_point(G: PermGroup, point: int) -> set[int]:
-    """Orbit of a 1-based point under G."""
-    if not 1 <= point <= G.degree:
-        raise DegreeMismatch(f"point {point} outside 1..{G.degree}")
-    gens = [g._img for g in G.generators]
-    seen = {point - 1}
-    queue = [point - 1]
-    for p in queue:
-        for g in gens:
-            q = g[p]
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return {p + 1 for p in seen}
-
-
-def point_stabilizer(G: PermGroup, point: int, cap: int = DEFAULT_CAP) -> PermGroup:
-    """Stabilizer of a 1-based point, by filtration."""
-    if not 1 <= point <= G.degree:
-        raise DegreeMismatch(f"point {point} outside 1..{G.degree}")
-    i = point - 1
-    members = [t for t in enumerate_elements(G, cap).raw() if t[i] == i]
-    return PermGroup.from_elements(G.degree, members)
 
 
 def _abelian_invariants(G: PermGroup, cap: int) -> list[int]:
@@ -792,6 +729,7 @@ def structure_tag(G: PermGroup, cap: int = DEFAULT_CAP) -> str:
     if len(fac) == 2 and fac[0][1] == 1 and fac[1][1] == 1:
         p, q = fac[0][0], fac[1][0]
         return f"C_{q}:C_{p}"
-    if n == 60 and derived_subgroup(G).order() == n:
+    # A_5 is the only insoluble group of order 60
+    if n == 60 and not is_soluble(G):
         return "A_5"
     return f"G_{n}"

@@ -9,7 +9,7 @@ schedule, so repeated runs always produce identical results.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import PrimalityRangeError
 
@@ -170,6 +170,3 @@ def least_primitive_root(p: int) -> int:
             return g
     raise ArithmeticError(f"no primitive root found modulo {p}")
 
-
-def perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n

@@ -161,21 +161,3 @@ class Permutation:
 
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
 
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Left-to-right product: compose(p, q) maps i to q(p(i))."""
-    return p * q
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
-
-
-def power(p: Permutation, k: int) -> Permutation:
-    """p^k for any integer k, negative meaning powers of the inverse."""
-    return p**k
-
-
-def element_order(p: Permutation) -> int:
-    """Multiplicative order, computed as the lcm of cycle lengths."""
-    return p.order()

@@ -43,6 +43,7 @@ from .group import (
     _conjugation_orbits,
     _cyclic_tuples,
     _soluble_from_gens,
+    _subgroup_gens,
     centralizer,
     class_of_rep,
     conjugacy_class_reps,
@@ -54,7 +55,7 @@ from .group import (
     quotient_by_normal,
 )
 from .numtheory import factorize, is_prime
-from .perm import Permutation, Tup, _conj, _identity, _inv, _mul, _order
+from .perm import Permutation, Tup, _conj, _identity, _mul, _order
 
 __all__ = [
     "SolubilizerRecord",
@@ -299,16 +300,6 @@ class SolubilizerRecord:
     equals_nx: bool
 
 
-def _closed_under_product(degree: int, members: ElementSet) -> bool:
-    """Closure test: the set is a subgroup iff it generates no new element."""
-    chain = StabilizerChain(degree)
-    for t in members.raw():
-        chain.extend(t)
-        if chain.order() > len(members):
-            return False
-    return chain.order() == len(members)
-
-
 def sol_record(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> SolubilizerRecord:
     """Compute the full solubilizer record for one element; memoized per group."""
     sol = sol_set(G, x, cap)
@@ -340,7 +331,7 @@ def sol_record(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> Solubili
         ell_nx=ell_nx,
         conjecture_ok=size % nx_order == 0,
         ratio34=Fraction(cx_order * ell_cx, nx_order),
-        is_subgroup=_closed_under_product(G.degree, sol),
+        is_subgroup=_subgroup_gens(G.degree, sol.raw()) is not None,
         equals_nx=size == nx_order,
     )
     table[x._img] = record

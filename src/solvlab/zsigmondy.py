@@ -14,7 +14,6 @@ q + 1 but not q - 1.  The classical lemmas are only asserted for d >= 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .errors import EngineInvariantViolated, InvalidBase, InvalidParameter
 from .numtheory import factorize, is_prime_power, multiplicative_order

@@ -4,10 +4,24 @@ import pytest
 
 from solvlab.checks import CHECK_TOKENS, run_catalog_checks
 from solvlab.families import CatalogEntry, FamilySpec
+from solvlab.group import PermGroup, enumerate_elements
 
 
 def _entry(family, *params):
     return CatalogEntry.from_spec(FamilySpec(family, tuple(params)))
+
+
+def brute_center(G):
+    """Z(G): the members that commute with every member, by brute force."""
+    members = list(enumerate_elements(G))
+    return PermGroup(
+        G.degree, [z for z in members if all(z * g == g * z for g in members)]
+    )
+
+
+def brute_point_stabilizer(G, point):
+    """The members fixing a 1-based point, by brute force."""
+    return PermGroup(G.degree, [g for g in enumerate_elements(G) if g(point) == point])
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,6 @@ from solvlab.numtheory import (
     is_prime_power,
     least_primitive_root,
     multiplicative_order,
-    perfect_square,
 )
 
 # nearest primes on either side of the proven deterministic witness bound
@@ -90,11 +89,6 @@ class TestPredicates:
     def test_fermat_and_mersenne(self):
         assert [n for n in range(2, 300) if is_fermat_prime(n)] == [3, 5, 17, 257]
         assert [n for n in range(2, 200) if is_mersenne_prime(n)] == [3, 7, 31, 127]
-
-    def test_perfect_square(self):
-        squares = {n * n for n in range(50)}
-        for n in range(2500):
-            assert perfect_square(n) == (n in squares)
 
 
 class TestOrders:
