@@ -26,7 +26,7 @@ from .group import (
     is_soluble,
 )
 from .numtheory import is_prime
-from .perm import Permutation, _conj, _mul
+from .perm import Permutation, _commutes, _conj
 from .solubilizer import (
     burnside_orbit_count,
     eq1_check,
@@ -220,16 +220,10 @@ def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
     if is_abelian(G):
         flags["noncommuting_pair_in_sol"] = "skipped"
     else:
-        witness = False
         raw = sol.raw()
-        for a in raw:
-            for b in raw:
-                if _mul(a, b) != _mul(b, a):
-                    witness = True
-                    break
-            if witness:
-                break
-        flags["noncommuting_pair_in_sol"] = witness
+        flags["noncommuting_pair_in_sol"] = not all(
+            _commutes(a, b) for a in raw for b in raw
+        )
 
     if not is_soluble(G) and is_prime(x_order):
         flags["no_selfnormalizing_prime_cyclic"] = record.n_x.order() > x_order

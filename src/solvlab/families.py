@@ -138,18 +138,23 @@ def _affine_group(modulus: int, multipliers: list[int]) -> PermGroup:
     return PermGroup(n, gens)
 
 
-def _psl2_group(q: int) -> PermGroup:
-    """Projective-line action of SL(2, q); point 1 is [1:0], point c+2 is [c:1]."""
+def _sl2_generators(q: int) -> tuple[GF, list]:
+    """GF(q) and a list of matrices ((a, b), (c, d)) generating SL(2, q)."""
     p, n = is_prime_power(q)
     K = GF(p, n)
-    one = 1
-    mats = [((one, one), (0, one)), ((0, one), (K.neg(one), 0))]
+    mats = [((1, 1), (0, 1)), ((0, 1), (K.neg(1), 0))]
     if n > 1:
         # p encodes the polynomial x, a field generator over the prime field
-        mats.append(((one, p), (0, one)))
+        mats.append(((1, p), (0, 1)))
     if q > 3:
         g = K.multiplicative_generator()
         mats.append(((g, 0), (0, K.inv(g))))
+    return K, mats
+
+
+def _psl2_group(q: int) -> PermGroup:
+    """Projective-line action of SL(2, q); point 1 is [1:0], point c+2 is [c:1]."""
+    K, mats = _sl2_generators(q)
 
     def point_of(x: int, y: int) -> int:
         if y == 0:
@@ -166,23 +171,14 @@ def _psl2_group(q: int) -> PermGroup:
             )
         return Permutation(images)
 
-    group = PermGroup(q + 1, [act(m) for m in mats])
-    return group
+    return PermGroup(q + 1, [act(m) for m in mats])
 
 
 def _sl2_group(q: int) -> PermGroup:
     """SL(2, q) acting on nonzero row vectors, labelled by ascending codes."""
-    p, n = is_prime_power(q)
-    K = GF(p, n)
+    K, mats = _sl2_generators(q)
     vectors = [(x, y) for x in range(q) for y in range(q) if (x, y) != (0, 0)]
     index = {v: i + 1 for i, v in enumerate(vectors)}
-    one = 1
-    mats = [((one, one), (0, one)), ((0, one), (K.neg(one), 0))]
-    if n > 1:
-        mats.append(((one, p), (0, one)))
-    if q > 3:
-        g = K.multiplicative_generator()
-        mats.append(((g, 0), (0, K.inv(g))))
 
     def act(m) -> Permutation:
         (a, b), (c, d) = m

@@ -140,9 +140,6 @@ class GF:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 

@@ -22,7 +22,7 @@ from .errors import (
     NotNormal,
     OrderExceedsCap,
 )
-from .perm import Permutation, Tup, _comm, _conj, _identity, _inv, _mul, _order
+from .perm import Permutation, Tup, _comm, _commutes, _conj, _identity, _inv, _mul, _order
 
 DEFAULT_CAP = 20000
 
@@ -35,6 +35,11 @@ class StabilizerChain:
     levels[i] holds the strong generators fixing bases[:i], the fundamental
     orbit of bases[i] under them, and transversal elements u with
     bases[i]^u = point (inverses cached for sifting).
+
+    Invariant, kept by _adjoin, the one method that adds a strong generator:
+    orbits[i] is exactly the orbit of bases[i] under gens[i], orbits[i][p]
+    maps bases[i] to p, and orbit_inv[i][p] is its inverse.  verify() relies
+    on it and never rebuilds an orbit.
     """
 
     __slots__ = ("degree", "bases", "gens", "orbits", "orbit_inv", "_order")
@@ -46,17 +51,9 @@ class StabilizerChain:
         self.orbits: list[dict[int, Tup]] = []
         self.orbit_inv: list[dict[int, Tup]] = []
         self._order: int | None = None
-        idn = _identity(degree)
-        inserted = False
         for g in gens:
-            if g == idn:
-                continue
-            r = self._sift(g, 0)
-            if r != idn:
-                self._insert(r)
-                inserted = True
-        if inserted:
-            self.verify()
+            self.sift_unverified(g)
+        self.verify()
 
     def _sift(self, t: Tup, level: int) -> Tup:
         """Strip t through levels >= level; identity result means membership."""
@@ -70,95 +67,31 @@ class StabilizerChain:
             t = _mul(t, u_inv)
         return t
 
-    def _insert(self, t: Tup) -> int:
-        """Record a new strong generator; returns the deepest level it joins."""
+    def _adjoin(self, r: Tup) -> int:
+        """Record a sifted residue r as a strong generator and extend, in
+        place, the basic orbit of every level it joins; returns the deepest
+        such level.
+
+        r fixes bases[:m] and moves bases[m] out of its orbit (or moves a
+        point while fixing every base point, and then opens a new level), so
+        it joins levels 0..m and no strong generator is added twice.
+        """
         m = 0
         for b in self.bases:
-            if t[b] == b:
+            if r[b] == b:
                 m += 1
             else:
                 break
         if m == len(self.bases):
-            base = next(i for i, j in enumerate(t) if i != j)
+            base = next(i for i, j in enumerate(r) if i != j)
             self.bases.append(base)
             self.gens.append([])
             self.orbits.append({})
             self.orbit_inv.append({})
+        idn = _identity(self.degree)
         for j in range(m + 1):
-            if t not in self.gens[j]:
-                self.gens[j].append(t)
-        self._order = None
-        return m
-
-    def _rebuild_orbit(self, i: int) -> dict[int, tuple[int, int]]:
-        """BFS the fundamental orbit at level i; returns the tree edges."""
-        base = self.bases[i]
-        gens = self.gens[i]
-        orbit = {base: _identity(self.degree)}
-        inv = {base: _identity(self.degree)}
-        edges: dict[int, tuple[int, int]] = {}
-        queue = [base]
-        for delta in queue:
-            u = orbit[delta]
-            for k, s in enumerate(gens):
-                gamma = s[delta]
-                if gamma not in orbit:
-                    v = _mul(u, s)
-                    orbit[gamma] = v
-                    inv[gamma] = _inv(v)
-                    edges[gamma] = (delta, k)
-                    queue.append(gamma)
-        self.orbits[i] = orbit
-        self.orbit_inv[i] = inv
-        return edges
-
-    def _verify_level(self, i: int) -> Tup | None:
-        """Sift all Schreier generators of level i; return a bad residual if any."""
-        edges = self._rebuild_orbit(i)
-        orbit = self.orbits[i]
-        inv = self.orbit_inv[i]
-        gens = self.gens[i]
-        idn = _identity(self.degree)
-        for delta in list(orbit):
-            u = orbit[delta]
-            for k, s in enumerate(gens):
-                gamma = s[delta]
-                if edges.get(gamma) == (delta, k):
-                    continue
-                sg = _mul(_mul(u, s), inv[gamma])
-                if sg == idn:
-                    continue
-                r = self._sift(sg, i + 1)
-                if r != idn:
-                    return r
-        return None
-
-    def _verify_from(self, start: int) -> None:
-        i = min(start, len(self.bases) - 1)
-        while i >= 0:
-            r = self._verify_level(i)
-            if r is None:
-                i -= 1
-            else:
-                i = self._insert(r)
-        self._order = None
-
-    def sift_unverified(self, t: Tup) -> bool:
-        """Adjoin the sifted residue of t as a strong generator, skipping
-        Schreier verification; True if the chain grew.
-
-        Each basic orbit is extended in place from the new generator, so the
-        orbits stay the orbits of their levels' generators, all of which lie
-        in the generated group H and fix the earlier base points.  order()
-        is then the product of the basic orbit lengths, a lower bound on |H|
-        that verify() makes exact.
-        """
-        idn = _identity(self.degree)
-        r = self._sift(t, 0)
-        if r == idn:
-            return False
-        for j in range(self._insert(r) + 1):
             orbit, inv, gens = self.orbits[j], self.orbit_inv[j], self.gens[j]
+            gens.append(r)
             if orbit:
                 # the old points are closed under the old generators
                 queue = []
@@ -180,6 +113,42 @@ class StabilizerChain:
                         v = _mul(u, s)
                         orbit[gamma], inv[gamma] = v, _inv(v)
                         queue.append(gamma)
+        self._order = None
+        return m
+
+    def _schreier_residue(self, i: int) -> Tup | None:
+        """Sift the Schreier generators of level i through the levels below;
+        the first non-identity residue, or None if level i is complete."""
+        orbit, inv = self.orbits[i], self.orbit_inv[i]
+        idn = _identity(self.degree)
+        for delta, u in orbit.items():
+            for s in self.gens[i]:
+                # sg is the identity on the edges of the transversal tree
+                sg = _mul(_mul(u, s), inv[s[delta]])
+                if sg != idn:
+                    r = self._sift(sg, i + 1)
+                    if r != idn:
+                        return r
+        return None
+
+    def _verify_from(self, start: int) -> None:
+        i = min(start, len(self.bases) - 1)
+        while i >= 0:
+            r = self._schreier_residue(i)
+            i = i - 1 if r is None else self._adjoin(r)
+
+    def sift_unverified(self, t: Tup) -> bool:
+        """Adjoin the sifted residue of t as a strong generator, skipping
+        Schreier verification; True if the chain grew.
+
+        Every strong generator lies in the generated group H and fixes the
+        earlier base points, so order(), the product of the basic orbit
+        lengths, is a lower bound on |H| that verify() makes exact.
+        """
+        r = self._sift(t, 0)
+        if r == _identity(self.degree):
+            return False
+        self._adjoin(r)
         return True
 
     def verify(self) -> None:
@@ -188,14 +157,10 @@ class StabilizerChain:
 
     def extend(self, t: Tup) -> bool:
         """Adjoin t to the generated group; True if the group grew."""
-        idn = _identity(self.degree)
-        if t == idn:
-            return False
         r = self._sift(t, 0)
-        if r == idn:
+        if r == _identity(self.degree):
             return False
-        m = self._insert(r)
-        self._verify_from(m)
+        self._verify_from(self._adjoin(r))
         return True
 
     def order(self) -> int:
@@ -344,11 +309,11 @@ class PermGroup:
 class GroupHom:
     """A homomorphism between permutation groups given by an element map."""
 
-    __slots__ = ("source", "target", "_map")
+    __slots__ = ("source", "_map")
 
-    def __init__(self, source: PermGroup, target: PermGroup, raw_map: Callable[[Tup], Tup]):
+    def __init__(self, source: PermGroup, raw_map: Callable[[Tup], Tup]):
         self.source = source
-        self.target = target
+        # the bare map on members of source; apply() checks membership
         self._map = raw_map
 
     def apply(self, p: Permutation) -> Permutation:
@@ -446,9 +411,7 @@ def is_abelian(G: PermGroup) -> bool:
     if cached is None:
         gens = [g._img for g in G.generators]
         cached = all(
-            _mul(a, b) == _mul(b, a)
-            for i, a in enumerate(gens)
-            for b in gens[i + 1 :]
+            _commutes(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]
         )
         G._cache["abelian"] = cached
     return cached
@@ -463,7 +426,7 @@ def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGro
     table = G._cache.setdefault("centralizer", {})
     found = table.get(xt)
     if found is None:
-        members = [t for t in elements.raw() if _mul(t, xt) == _mul(xt, t)]
+        members = [t for t in elements.raw() if _commutes(t, xt)]
         found = PermGroup.from_elements(G.degree, members)
         table[xt] = found
     return found
@@ -640,12 +603,7 @@ def quotient_by_normal(
     if quotient.order() * N.order() != G.order():
         raise NotInGroup("coset action order mismatch (engine bug)")
 
-    def raw_map(t: Tup) -> Tup:
-        if not G._contains_tuple(t):
-            raise NotInGroup("element outside the quotient's source group")
-        return project(t)
-
-    table[key] = (quotient, GroupHom(G, quotient, raw_map))
+    table[key] = (quotient, GroupHom(G, project))
     return table[key]
 
 

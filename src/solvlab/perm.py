@@ -40,6 +40,12 @@ def _comm(a: Tup, b: Tup) -> Tup:
     return _mul(_inv(_mul(b, a)), _mul(a, b))
 
 
+def _commutes(a: Tup, b: Tup) -> bool:
+    """Whether ab = ba, comparing the images of point 0 before the rest;
+    that first comparison rejects most non-commuting pairs."""
+    return a[b[0]] == b[a[0]] and all(a[b[i]] == b[a[i]] for i in range(1, len(a)))
+
+
 def _identity(n: int) -> Tup:
     return tuple(range(n))
 

@@ -55,7 +55,7 @@ from .group import (
     quotient_by_normal,
 )
 from .numtheory import factorize, is_prime
-from .perm import Permutation, Tup, _conj, _identity, _mul, _order
+from .perm import Permutation, Tup, _commutes, _conj, _identity, _mul, _order
 
 __all__ = [
     "SolubilizerRecord",
@@ -198,9 +198,7 @@ def _pair_soluble_chain(G: PermGroup, a: Tup, b: Tup) -> bool:
 def _sol_is_everything(G: PermGroup, xt: Tup) -> bool:
     """Shortcuts where every pair subgroup is soluble: G soluble, or x central
     (then every pair subgroup is abelian)."""
-    return is_soluble(G) or all(
-        _mul(xt, g) == _mul(g, xt) for g in (h._img for h in G.generators)
-    )
+    return is_soluble(G) or all(_commutes(xt, h._img) for h in G.generators)
 
 
 def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
@@ -392,17 +390,10 @@ def burnside_orbit_count(H: PermGroup, Y: ElementSet, cap: int = DEFAULT_CAP) ->
     """Same count via the averaged fixed-point sum over all of H."""
     _check_invariant(H, Y)
     members = Y.raw()
-    rng = range(1, H.degree)
     total = 0
     for h in enumerate_elements(H, cap).raw():
-        # y is fixed by conjugation with h iff y and h commute; comparing the
-        # images of point 0 first rejects most pairs at once
-        h0 = h[0]
-        total += sum(
-            1
-            for y in members
-            if h[y[0]] == y[h0] and all(h[y[i]] == y[h[i]] for i in rng)
-        )
+        # y is fixed by conjugation with h iff y and h commute
+        total += sum(1 for y in members if _commutes(h, y))
     order = H.order()
     if total % order != 0:
         raise BurnsideNonIntegral(
@@ -535,21 +526,13 @@ def frobenius_structure(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) ->
     frobenius = index > 1 and is_normal(n_x, c_x)
     if frobenius:
         idn = _identity(G.degree)
-        rng = range(1, G.degree)
-        for h in nx_members:
-            if h in cx_members:
-                continue
-            h0 = h[0]
-            for c in cx_members:
-                if (
-                    c != idn
-                    and h[c[0]] == c[h0]
-                    and all(h[c[i]] == c[h[i]] for i in rng)
-                ):
-                    frobenius = False
-                    break
-            if not frobenius:
-                break
+        frobenius = not any(
+            _commutes(h, c)
+            for h in nx_members
+            if h not in cx_members
+            for c in cx_members
+            if c != idn
+        )
     return FrobeniusFinding(
         is_frobenius_over_cx=frobenius,
         complement_order=index,

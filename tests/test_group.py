@@ -28,7 +28,7 @@ from solvlab.group import (
     quotient_by_normal,
     structure_tag,
 )
-from solvlab.perm import Permutation
+from solvlab.perm import Permutation, _inv
 
 from conftest import brute_center, brute_point_stabilizer
 
@@ -52,6 +52,50 @@ def brute_closure(degree, gens):
 
 def to_sympy(G):
     return SymGroup([SymPerm([i - 1 for i in g.images]) for g in G.generators])
+
+
+def assert_chain_invariant(chain):
+    """Check, by brute force, what verify() relies on instead of rebuilding:
+    each level holds exactly the strong generators fixing the earlier base
+    points, and its orbit, transversal and inverses match those generators."""
+    strong = set().union(*chain.gens)
+    for j, base in enumerate(chain.bases):
+        gens = chain.gens[j]
+        assert set(gens) == {
+            s for s in strong if all(s[b] == b for b in chain.bases[:j])
+        }
+        orbit = {base}
+        frontier = [base]
+        for p in frontier:
+            for s in gens:
+                if s[p] not in orbit:
+                    orbit.add(s[p])
+                    frontier.append(s[p])
+        assert set(chain.orbits[j]) == orbit
+        assert set(chain.orbit_inv[j]) == orbit
+        for p, u in chain.orbits[j].items():
+            assert u[base] == p
+            assert chain.orbit_inv[j][p] == _inv(u)
+
+
+def sympy_order(degree, gens):
+    return SymGroup([SymPerm(list(t), size=degree) for t in gens]).order()
+
+
+def chain_test_gen_sets():
+    """Seeded generator sets in S6 and S7, and an intransitive one on 7 points."""
+    rng = random.Random(11)
+    sets = [
+        (n, [tuple(rng.sample(range(n), n)) for _ in range(k)])
+        for n in (6, 7)
+        for k in (1, 2, 3)
+    ]
+    blocks = []
+    for _ in range(3):
+        low, high = rng.sample(range(3), 3), rng.sample(range(3, 7), 4)
+        blocks.append(tuple(low + high))
+    sets.append((7, blocks))
+    return sets
 
 
 class TestOrderAndMembership:
@@ -78,6 +122,25 @@ class TestOrderAndMembership:
         ]:
             G = CatalogEntry.from_spec(FamilySpec(family, params)).group
             assert G.order() == to_sympy(G).order()
+        # the constructor, extend one generator at a time, and unverified
+        # sifts then verify() all grow the chain through the same insertion
+        for degree, gens in chain_test_gen_sets():
+            order = sympy_order(degree, gens)
+            built = StabilizerChain(degree, gens)
+            assert_chain_invariant(built)
+            assert built.order() == order
+            extended = StabilizerChain(degree)
+            for g in gens:
+                extended.extend(g)
+                assert_chain_invariant(extended)
+            assert extended.order() == order
+            sifted = StabilizerChain(degree)
+            for g in gens:
+                sifted.sift_unverified(g)
+                assert_chain_invariant(sifted)
+            sifted.verify()
+            assert_chain_invariant(sifted)
+            assert sifted.order() == order
 
     def test_unverified_sifts_bound_the_order_from_below(self):
         rng = random.Random(5)
@@ -87,13 +150,16 @@ class TestOrderAndMembership:
             chain = StabilizerChain(6)
             for t in (a._img, b._img, (a * b)._img):
                 chain.sift_unverified(t)
+                assert_chain_invariant(chain)
                 assert chain.order() <= order
             chain.verify()
+            assert_chain_invariant(chain)
             assert chain.order() == order
             # once every member has been sifted, the bound is exact unverified
             chain = StabilizerChain(6)
             for t in sorted(p._img for p in brute_closure(6, [a, b])):
                 chain.sift_unverified(t)
+                assert_chain_invariant(chain)
                 assert chain.order() <= order
             assert chain.order() == order
 
