@@ -228,6 +228,8 @@ def cmd_verify(ns) -> int:
         raise InvalidParameter(
             f"--max-order {ns.max_order} exceeds the element cap {ns.cap}"
         )
+    if ns.jobs < 1:
+        raise InvalidParameter(f"--jobs must be at least 1, not {ns.jobs}")
     checks = _split_checks(ns.checks)
     items, counterexamples = run_catalog_checks(
         ns.max_order, checks, ns.cap, ns.jobs

@@ -1,10 +1,11 @@
 """Finite permutation groups with a base and strong generating set.
 
 The engine keeps a deterministic stabilizer chain per group (classic
-Schreier-Sims, no randomization), which gives membership tests and exact
-orders without enumerating elements.  Element enumeration, centralizers,
-normalizers and conjugacy classes are computed by exhaustive filtration at
-desk scale; an explicit cap (default 20000) guards every enumeration.
+Schreier-Sims; subgroup orders sift words drawn from a fixed seed), which
+gives membership tests and exact orders without enumerating elements.
+Element enumeration, centralizers, normalizers and conjugacy classes are
+computed by exhaustive filtration at desk scale; an explicit cap (default
+20000) guards every enumeration.
 
 Conventions: right action i^p, left-to-right products, conjugation
 x^g = g^-1 x g.  Raw image tuples (0-based) are used in hot paths; public
@@ -13,11 +14,14 @@ boundaries speak Permutation objects and 1-based points.
 
 from __future__ import annotations
 
+import functools
+import random
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegreeMismatch,
     DerivedDepthExceeded,
+    EngineInvariantViolated,
     NotInGroup,
     NotNormal,
     OrderExceedsCap,
@@ -175,6 +179,64 @@ class StabilizerChain:
         if len(t) != self.degree:
             return False
         return self._sift(t, 0) == _identity(self.degree)
+
+
+# The words the generation certificate sifts after two or more generators:
+# product replacement with an accumulator, on slots seeded with the gens,
+# g0 g1 and g1 g0 (a, b, ab and ba for a pair).  Step (i, j) multiplies slot
+# i by slot j, then the accumulator (first g0 g1) by the new slot i, and
+# sifts the accumulator.  The steps are drawn once per slot count from a
+# fixed seed, so every run sifts the same words.
+@functools.cache
+def _replacement_steps(slots: int) -> tuple[tuple[int, int], ...]:
+    rng = random.Random(7)
+    steps: list[tuple[int, int]] = []
+    while len(steps) < 160:
+        i, j = rng.randrange(slots), rng.randrange(slots)
+        if i != j:
+            steps.append((i, j))
+    return tuple(steps)
+
+
+def _certificate_words(gens: Sequence[Tup]):
+    yield from gens
+    if len(gens) < 2:
+        return
+    word = _mul(gens[0], gens[1])
+    slots = [*gens, word, _mul(gens[1], gens[0])]
+    for i, j in _replacement_steps(len(slots)):
+        slots[i] = _mul(slots[i], slots[j])
+        word = _mul(word, slots[i])
+        yield word
+
+
+# Consecutive sifts that add no strong generator before the certificate
+# gives up and the chain is verified.
+_IDLE_SIFT_LIMIT = 8
+
+
+def _generated_order(degree: int, gens: Sequence[Tup], target: int) -> int:
+    """|<gens>|, given that target bounds it from above.
+
+    Generation certificate: gens and fixed words in them are sifted into a
+    stabilizer chain without Schreier verification.  Every strong generator
+    lies in <gens>, so the product of the basic orbit lengths bounds |<gens>|
+    from below; once it reaches target, the order is target.  Otherwise the
+    chain is verified, after _IDLE_SIFT_LIMIT idle sifts in a row or the last
+    word, and its order is exact.  An order above target breaks the
+    precondition and raises EngineInvariantViolated.
+    """
+    chain = StabilizerChain(degree)
+    idle = 0
+    for w in _certificate_words(gens):
+        idle = 0 if chain.sift_unverified(w) else idle + 1
+        if chain.order() >= target or idle == _IDLE_SIFT_LIMIT:
+            break
+    if chain.order() < target:
+        chain.verify()
+    if chain.order() > target:
+        raise EngineInvariantViolated(f"order {chain.order()} of <gens> exceeds {target}")
+    return chain.order()
 
 
 class ElementSet:
@@ -378,20 +440,16 @@ def _derived_gens(degree: int, gens: list[Tup]) -> list[Tup]:
 
 
 def _soluble_from_gens(degree: int, gens: list[Tup], order: int) -> bool:
-    """Derived-series solubility test on raw generators (order known)."""
-    current_gens = [g for g in gens if g != _identity(degree)]
-    current_order = order
+    """Derived-series solubility test on raw generators (order known); each
+    term's order is _generated_order's, with the previous term's as bound."""
     for _ in range(_DERIVED_DEPTH_LIMIT):
-        if current_order == 1:
-            return True
-        nxt = _derived_gens(degree, current_gens)
+        nxt = _derived_gens(degree, gens)
         if not nxt:
             return True
-        d_order = StabilizerChain(degree, nxt).order()
-        if d_order == current_order:
+        d_order = _generated_order(degree, nxt, order)
+        if d_order == order:
             return False
-        current_gens = nxt
-        current_order = d_order
+        gens, order = nxt, d_order
     raise DerivedDepthExceeded("derived series did not stabilize in 64 steps")
 
 
@@ -546,13 +604,14 @@ def is_normal(G: PermGroup, H: PermGroup) -> bool:
 def is_maximal(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     """Whether a proper subgroup H is maximal: <H, g> = G for every g outside H.
 
-    One witness per right coset of H suffices, since <H, g> = <H, hg>.
+    One witness per right coset of H suffices, since <H, g> = <H, hg>.  As in
+    the pair-solubility test, |<H, g>| is _generated_order's with target |G|:
+    a certificate settles <H, g> = G, and only a smaller group is verified.
     """
     if not is_subgroup_of(H, G):
         raise NotInGroup("H is not a subgroup of G")
     n = G.order()
-    h_order = H.order()
-    if h_order == n:
+    if H.order() == n:
         raise NotInGroup("H equals G; maximality is undefined")
     h_gens = [g._img for g in H.generators]
     h_members = enumerate_elements(H, cap).raw_set()
@@ -560,8 +619,7 @@ def is_maximal(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     for t in enumerate_elements(G, cap).raw():
         if t in covered:
             continue
-        grown = StabilizerChain(G.degree, h_gens + [t])
-        if grown.order() != n:
+        if _generated_order(G.degree, h_gens + [t], n) != n:
             return False
         covered.update(_mul(h, t) for h in h_members)
     return True

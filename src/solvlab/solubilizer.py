@@ -19,7 +19,6 @@ point anywhere in this module.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -42,6 +41,7 @@ from .group import (
     StabilizerChain,
     _conjugation_orbits,
     _cyclic_tuples,
+    _generated_order,
     _soluble_from_gens,
     _subgroup_gens,
     centralizer,
@@ -87,109 +87,47 @@ def _powers_set(G: PermGroup, t: Tup) -> frozenset:
     return s
 
 
+_SMALLEST_INSOLUBLE_ORDER = 60
+
+
 def _pair_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
     """Whether the subgroup H of G generated by two elements is soluble.
 
     Verdicts are memoized per group, keyed by the unordered pair of image
     tuples.  Each rule below is an exact implication, never a heuristic:
-      - either element is the identity or normalizes the cyclic group of the
-        other: H is cyclic-by-cyclic, hence soluble;
-      - generation certificate: a, b and a fixed sequence of words in them
-        are sifted into a stabilizer chain without Schreier verification.
-        Every strong generator lies in H, so the product of the basic orbit
-        lengths is a lower bound on |H|; once it reaches |G|, H = G and the
-        answer is the solubility of G itself;
-      - otherwise the chain is verified, which gives n = |H| exactly.  If
-        n = |G|, the answer is again the solubility of G.  Every group of
-        order n < 60 is soluble (A5, of order 60, is the smallest insoluble
-        group), and by Burnside's p^a q^b theorem so is every group whose
-        order has at most two prime divisors.  Only the remaining pairs run
-        the derived series.
+      - either element normalizes the cyclic group of the other (the
+        identity does): H is cyclic-by-cyclic, hence soluble;
+      - n = |H| is group._generated_order's with target |G|, the test that
+        is_maximal and the derived series share: a certificate proves H = G,
+        or a verified chain gives n.  If n = |G|, the answer is the
+        solubility of G itself;
+      - every group of order n < 60 is soluble (A5, of order 60, is the
+        smallest insoluble group), and by Burnside's p^a q^b theorem so is
+        every group whose order has at most two prime divisors;
+      - only the remaining pairs run the derived series.
     _pair_soluble_chain, the test by one verified chain, is the oracle.
     """
     key = (a, b) if a <= b else (b, a)
     memo = G._cache.setdefault("pair_soluble", {})
     verdict = memo.get(key)
     if verdict is None:
-        verdict = _cyclic_by_cyclic(G, a, b) or _generated_soluble(G, a, b)
+        if _conj(a, b) in _powers_set(G, a) or _conj(b, a) in _powers_set(G, b):
+            verdict = True
+        elif (n := _generated_order(G.degree, [a, b], G.order())) == G.order():
+            verdict = is_soluble(G)
+        elif n < _SMALLEST_INSOLUBLE_ORDER or len(factorize(n)) <= 2:
+            verdict = True
+        else:
+            verdict = _soluble_from_gens(G.degree, [a, b], n)
         memo[key] = verdict
     return verdict
-
-
-def _cyclic_by_cyclic(G: PermGroup, a: Tup, b: Tup) -> bool:
-    idn = _identity(G.degree)
-    return (
-        a == idn
-        or b == idn
-        or _conj(a, b) in _powers_set(G, a)
-        or _conj(b, a) in _powers_set(G, b)
-    )
-
-
-def _replacement_steps(count: int, seed: int) -> tuple[tuple[int, int], ...]:
-    rng = random.Random(seed)
-    steps: list[tuple[int, int]] = []
-    while len(steps) < count:
-        i, j = rng.randrange(4), rng.randrange(4)
-        if i != j:
-            steps.append((i, j))
-    return tuple(steps)
-
-
-# The words the generation certificate sifts after a and b: product
-# replacement with an accumulator, on four slots seeded with a, b, ab and
-# ba.  Step (i, j) multiplies slot i by slot j, then the accumulator by the
-# new slot i; the accumulator is the word sifted.  The steps are drawn once
-# from a fixed seed, so every run sifts the same words.
-_REPLACEMENT_STEPS = _replacement_steps(160, 7)
-# Consecutive sifts that add no strong generator before the certificate
-# gives up and the chain is verified.
-_IDLE_SIFT_LIMIT = 8
-_SMALLEST_INSOLUBLE_ORDER = 60
-
-
-def _certificate_words(a: Tup, b: Tup):
-    yield a
-    yield b
-    ab = _mul(a, b)
-    slots = [a, b, ab, _mul(b, a)]
-    word = ab
-    for i, j in _REPLACEMENT_STEPS:
-        slots[i] = _mul(slots[i], slots[j])
-        word = _mul(word, slots[i])
-        yield word
-
-
-def _generated_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
-    target = G.order()
-    chain = StabilizerChain(G.degree)
-    idle = 0
-    for w in _certificate_words(a, b):
-        if chain.sift_unverified(w):
-            if chain.order() == target:
-                return is_soluble(G)
-            idle = 0
-        else:
-            idle += 1
-            if idle == _IDLE_SIFT_LIMIT:
-                break
-    chain.verify()
-    n = chain.order()
-    if n == target:
-        return is_soluble(G)
-    if n < _SMALLEST_INSOLUBLE_ORDER or len(factorize(n)) <= 2:
-        return True
-    return _soluble_from_gens(G.degree, [a, b], n)
 
 
 def _pair_soluble_chain(G: PermGroup, a: Tup, b: Tup) -> bool:
     """The same verdict as _pair_soluble, by one verified stabilizer chain
     and then the derived series.  Not memoized; it is the oracle that checks
     _pair_soluble."""
-    if _cyclic_by_cyclic(G, a, b):
-        return True
-    chain = StabilizerChain(G.degree, [a, b])
-    sub_order = chain.order()
+    sub_order = StabilizerChain(G.degree, [a, b]).order()
     if sub_order == G.order():
         return is_soluble(G)
     return _soluble_from_gens(G.degree, [a, b], sub_order)

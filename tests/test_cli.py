@@ -185,6 +185,13 @@ class TestVerify:
         assert code == 1
         assert "exceeds the element cap" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--max-order", "3", "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "--jobs must be at least 1" in err
+
     def test_csv_header(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,6 +1,7 @@
 """Core group machinery against brute-force oracles and sympy."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,12 +9,13 @@ from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
 from solvlab.cycles import parse_cycles
-from solvlab.errors import NotInGroup, NotNormal, OrderExceedsCap
+from solvlab.errors import EngineInvariantViolated, NotInGroup, NotNormal, OrderExceedsCap
 from solvlab.families import CatalogEntry, FamilySpec
 from solvlab.group import (
     PermGroup,
     StabilizerChain,
     _derived_gens,
+    _generated_order,
     centralizer,
     class_of_rep,
     conjugacy_class_reps,
@@ -28,7 +30,7 @@ from solvlab.group import (
     quotient_by_normal,
     structure_tag,
 )
-from solvlab.perm import Permutation, _inv
+from solvlab.perm import Permutation, _inv, _mul
 
 from conftest import brute_center, brute_point_stabilizer
 
@@ -164,6 +166,31 @@ class TestOrderAndMembership:
             assert chain.order() == order
 
 
+class TestGeneratedOrder:
+    """_generated_order against sympy, with the exact order and n! as bounds."""
+
+    def gen_sets(self):
+        sets = chain_test_gen_sets()
+        # one generator whose powers the unverified chain has not sifted
+        sets.append((6, [parse_cycles("(1,2,3)(4,5)", 6)._img]))
+        # two even permutations that generate A7, half of the bound 7!
+        a7 = [parse_cycles(c, 7)._img for c in ("(1,2,3)", "(1,2,3,4,5,6,7)")]
+        sets.append((7, a7))
+        return sets
+
+    def test_orders_match_sympy(self):
+        for degree, gens in self.gen_sets():
+            order = sympy_order(degree, gens)
+            assert _generated_order(degree, gens, order) == order
+            assert _generated_order(degree, gens, math.factorial(degree)) == order
+
+    def test_a_bound_below_the_order_raises(self):
+        for degree, gens in self.gen_sets():
+            order = sympy_order(degree, gens)
+            with pytest.raises(EngineInvariantViolated):
+                _generated_order(degree, gens, order - 1)
+
+
 class TestSubgroups:
     def test_subgroup_relation(self, a5, s4):
         a4 = brute_point_stabilizer(a5, 5)
@@ -192,6 +219,38 @@ class TestSubgroups:
         )
         assert is_maximal(s4, a4)
         assert not is_maximal(s4, v4)
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("alternating", (5,)), ("symmetric", (5,)), ("psl2", (7,)), ("psl2", (8,))],
+    )
+    def test_is_maximal_matches_sympy(self, family, params):
+        # every proper C_G(x) and N_G(<x>) of a class representative, against
+        # sympy's order of <H, t> for one t per right coset of H
+        G = CatalogEntry.from_spec(FamilySpec(family, params)).group
+        n = G.order()
+        verdicts = {}
+        for x in conjugacy_class_reps(G):
+            for H in (centralizer(G, x), normalizer_of_cyclic(G, x)):
+                if H.order() == n:
+                    continue
+                h_gens = [g._img for g in H.generators]
+                h_members = enumerate_elements(H).raw()
+                covered = set(h_members)
+                expected = True
+                for t in enumerate_elements(G).raw():
+                    if t not in covered:
+                        covered.update(_mul(h, t) for h in h_members)
+                        if sympy_order(G.degree, h_gens + [t]) != n:
+                            expected = False
+                            break
+                assert is_maximal(G, H) == expected
+                verdicts[H.order()] = expected
+        assert set(verdicts.values()) == {True, False}
+        if family == "alternating":
+            # C_3 < S_3 < A_5 and C_5 < D_10 < A_5; V_4, both C_G(x) and
+            # N_G(<x>) of an involution, lies in A_4
+            assert verdicts == {3: False, 6: True, 4: False, 5: False, 10: True}
 
     def test_centralizer_and_normalizer_brute_force(self, a5, s4):
         # every element against the in-test filtration; the second call must

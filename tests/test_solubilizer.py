@@ -387,6 +387,15 @@ s.centralizer = centralizer
 expect(lambda: s.eq1_check(G, x, n_x))
 """
 
+    GENERATED_ORDER = """
+from solvlab.group import _generated_order
+
+# groups of order 6 above a bound of 5: S_3 is found by unverified sifts,
+# the cyclic group of (1,2,3)(4,5) only by the verified chain
+expect(lambda: _generated_order(3, [(1, 2, 0), (1, 0, 2)], 5))
+expect(lambda: _generated_order(6, [(1, 2, 0, 4, 3, 5)], 5))
+"""
+
     CLASSIFIER_ROW = """
 from solvlab.classify import ClassifierRow
 
@@ -397,8 +406,22 @@ expect(lambda: ClassifierRow("psl2_cpct", (11,), 11, 3, "C_11:C_3", True), Inval
 
     @pytest.mark.parametrize(
         "body,raises",
-        [(SOLUBILIZER, 3), (ZSIGMONDY, 3), (RADICAL, 3), (EQ1, 1), (CLASSIFIER_ROW, 3)],
-        ids=["sol_record", "zsigmondy", "soluble_radical", "eq1_check", "classifier_row"],
+        [
+            (SOLUBILIZER, 3),
+            (ZSIGMONDY, 3),
+            (RADICAL, 3),
+            (EQ1, 1),
+            (GENERATED_ORDER, 2),
+            (CLASSIFIER_ROW, 3),
+        ],
+        ids=[
+            "sol_record",
+            "zsigmondy",
+            "soluble_radical",
+            "eq1_check",
+            "generated_order",
+            "classifier_row",
+        ],
     )
     def test_each_invariant_raises(self, body, raises):
         src = str(Path(solvlab.__file__).resolve().parents[1])
