@@ -40,10 +40,11 @@ class StabilizerChain:
     orbit of bases[i] under them, and transversal elements u with
     bases[i]^u = point (inverses cached for sifting).
 
-    Invariant, kept by _adjoin, the one method that adds a strong generator:
-    orbits[i] is exactly the orbit of bases[i] under gens[i], orbits[i][p]
-    maps bases[i] to p, and orbit_inv[i][p] is its inverse.  verify() relies
-    on it and never rebuilds an orbit.
+    A chain grows only through sift_unverified and is completed only by
+    verify().  Invariant, kept by _adjoin, the one method that adds a strong
+    generator: orbits[i] is exactly the orbit of bases[i] under gens[i],
+    orbits[i][p] maps bases[i] to p, and orbit_inv[i][p] is its inverse.
+    verify() relies on it and never rebuilds an orbit.
     """
 
     __slots__ = ("degree", "bases", "gens", "orbits", "orbit_inv", "_order")
@@ -135,12 +136,6 @@ class StabilizerChain:
                         return r
         return None
 
-    def _verify_from(self, start: int) -> None:
-        i = min(start, len(self.bases) - 1)
-        while i >= 0:
-            r = self._schreier_residue(i)
-            i = i - 1 if r is None else self._adjoin(r)
-
     def sift_unverified(self, t: Tup) -> bool:
         """Adjoin the sifted residue of t as a strong generator, skipping
         Schreier verification; True if the chain grew.
@@ -156,16 +151,12 @@ class StabilizerChain:
         return True
 
     def verify(self) -> None:
-        """Complete the chain by Schreier-Sims; order() is exact afterwards."""
-        self._verify_from(len(self.bases) - 1)
-
-    def extend(self, t: Tup) -> bool:
-        """Adjoin t to the generated group; True if the group grew."""
-        r = self._sift(t, 0)
-        if r == _identity(self.degree):
-            return False
-        self._verify_from(self._adjoin(r))
-        return True
+        """Complete the chain by Schreier-Sims, from the deepest level up;
+        order() is exact afterwards."""
+        i = len(self.bases) - 1
+        while i >= 0:
+            r = self._schreier_residue(i)
+            i = i - 1 if r is None else self._adjoin(r)
 
     def order(self) -> int:
         if self._order is None:
@@ -249,10 +240,6 @@ class ElementSet:
         self._tuples: tuple[Tup, ...] = tuple(sorted(set(raw)))
         self._set = frozenset(self._tuples)
 
-    @classmethod
-    def from_permutations(cls, degree: int, perms: Iterable[Permutation]) -> "ElementSet":
-        return cls(degree, (p._img for p in perms))
-
     def raw(self) -> tuple[Tup, ...]:
         """The member image tuples in canonical (lexicographic) order."""
         return self._tuples
@@ -287,20 +274,24 @@ class ElementSet:
 
 
 def _subgroup_gens(degree: int, members: Sequence[Tup]) -> list[Tup] | None:
-    """The members that grow one chain when adjoined in order, or None if
-    the distinct members are not closed under products.
+    """The members that grow one chain when sifted in order, or None if the
+    distinct members are not closed under products.
 
-    The chain's group contains every member, so the members form a subgroup
-    exactly when its order never exceeds their number.
+    A member that sifts to the identity is a product of strong generators,
+    so the chain's group, generated by the members kept, contains every
+    member.  The members are closed exactly when its order equals their
+    number: an unverified bound above it settles None early, and verify()
+    after the last member makes the order exact.
     """
     size = len(members)
     chain = StabilizerChain(degree)
     gens: list[Tup] = []
     for t in members:
-        if chain.extend(t):
+        if chain.sift_unverified(t):
             if chain.order() > size:
                 return None
             gens.append(t)
+    chain.verify()
     return gens if chain.order() == size else None
 
 
@@ -368,22 +359,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
-class GroupHom:
-    """A homomorphism between permutation groups given by an element map."""
-
-    __slots__ = ("source", "_map")
-
-    def __init__(self, source: PermGroup, raw_map: Callable[[Tup], Tup]):
-        self.source = source
-        # the bare map on members of source; apply() checks membership
-        self._map = raw_map
-
-    def apply(self, p: Permutation) -> Permutation:
-        if p not in self.source:
-            raise NotInGroup("element outside the homomorphism's source group")
-        return Permutation._from_tuple(self._map(p._img))
-
-
 def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     """All elements of G in canonical order; refuses when order() > cap."""
     order = G.order()
@@ -410,19 +385,21 @@ def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:
 
 
 def _normal_closure_gens(degree: int, ambient_gens: list[Tup], seeds: list[Tup]) -> list[Tup]:
-    """Generators of the normal closure of seeds under the ambient generators."""
+    """Generators of the normal closure of seeds under the ambient generators.
+
+    Seeds and conjugates are kept when they grow one unverified chain.  Every
+    strong generator lies in <kept>, so a conjugate that sifts to the
+    identity, a product of strong generators, lies in <kept> too.  Once each
+    kept element's conjugates by the ambient generators are sifted, <kept>
+    is normal, hence the normal closure.  Each growth adds a basic-orbit
+    point, so the loop ends.
+    """
     chain = StabilizerChain(degree)
-    kept: list[Tup] = []
-    for s in seeds:
-        if chain.extend(s):
-            kept.append(s)
-    i = 0
-    while i < len(kept):
-        s = kept[i]
-        i += 1
+    kept = [s for s in seeds if chain.sift_unverified(s)]
+    for s in kept:
         for t in ambient_gens:
             c = _conj(s, t)
-            if chain.extend(c):
+            if chain.sift_unverified(c):
                 kept.append(c)
     return kept
 
@@ -575,10 +552,14 @@ def class_of_rep(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> Elemen
 
 
 def first_element_of_order(G: PermGroup, k: int, cap: int = DEFAULT_CAP) -> Permutation | None:
-    """The canonical first class representative of element order k, if any."""
-    for rep in conjugacy_class_reps(G, cap):
-        if rep.order() == k:
-            return rep
+    """The least element of order k, if any.
+
+    Each class is led by its least member and conjugacy_class_reps sorts
+    the reps by (order, encoding), so this is its first rep of order k.
+    """
+    for t in enumerate_elements(G, cap).raw():
+        if _order(t) == k:
+            return Permutation._from_tuple(t)
     return None
 
 
@@ -627,8 +608,9 @@ def is_maximal(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> bool:
 
 def quotient_by_normal(
     G: PermGroup, N: PermGroup, cap: int = DEFAULT_CAP
-) -> tuple[PermGroup, GroupHom]:
-    """The quotient G/N as the action on right cosets of N, with projection.
+) -> tuple[PermGroup, Callable[[Tup], Tup]]:
+    """The quotient G/N as the action on right cosets of N, with the
+    projection of members of G (raw tuples; it does not check membership).
 
     The coset of the identity is point 1; remaining cosets are numbered by
     the canonical order of their least members.  Memoized per group, keyed
@@ -661,7 +643,7 @@ def quotient_by_normal(
     if quotient.order() * N.order() != G.order():
         raise NotInGroup("coset action order mismatch (engine bug)")
 
-    table[key] = (quotient, GroupHom(G, project))
+    table[key] = (quotient, project)
     return table[key]
 
 

@@ -519,10 +519,11 @@ def quotient_sol_check(G: PermGroup, N: PermGroup, x: Permutation, cap: int = DE
         raise NotNormal("the subgroup is not normal in G")
     if not is_soluble(N):
         raise NotSoluble("the normal subgroup must be soluble")
-    quotient, hom = quotient_by_normal(G, N)
+    quotient, project = quotient_by_normal(G, N)
     sol = sol_set(G, x, cap)
-    image = ElementSet(quotient.degree, {hom._map(t) for t in sol.raw()})
-    sol_in_quotient = sol_set(quotient, hom.apply(x), cap)
+    image = ElementSet(quotient.degree, {project(t) for t in sol.raw()})
+    # project does not check membership; sol_set has rejected an x outside G
+    sol_in_quotient = sol_set(quotient, Permutation._from_tuple(project(x._img)), cap)
     return image == sol_in_quotient and len(sol) % N.order() == 0
 
 

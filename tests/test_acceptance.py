@@ -137,8 +137,8 @@ class TestSolubleGroupFormulas:
         G = _group(family, *params)
         x = first_element_of_order(G, params[-1])
         record = sol_record(G, x)
-        kernel = ElementSet.from_permutations(
-            G.degree, enumerate_elements(record.c_x)
+        kernel = ElementSet(
+            G.degree, (p._img for p in enumerate_elements(record.c_x))
         )
         ell = orbit_count(record.n_x, kernel) - 1
         index = record.n_x.order() // record.c_x.order()

@@ -16,6 +16,8 @@ from solvlab.group import (
     StabilizerChain,
     _derived_gens,
     _generated_order,
+    _normal_closure_gens,
+    _subgroup_gens,
     centralizer,
     class_of_rep,
     conjugacy_class_reps,
@@ -124,18 +126,13 @@ class TestOrderAndMembership:
         ]:
             G = CatalogEntry.from_spec(FamilySpec(family, params)).group
             assert G.order() == to_sympy(G).order()
-        # the constructor, extend one generator at a time, and unverified
-        # sifts then verify() all grow the chain through the same insertion
+        # the constructor, and unverified sifts then verify(), grow the
+        # chain through the same insertion
         for degree, gens in chain_test_gen_sets():
             order = sympy_order(degree, gens)
             built = StabilizerChain(degree, gens)
             assert_chain_invariant(built)
             assert built.order() == order
-            extended = StabilizerChain(degree)
-            for g in gens:
-                extended.extend(g)
-                assert_chain_invariant(extended)
-            assert extended.order() == order
             sifted = StabilizerChain(degree)
             for g in gens:
                 sifted.sift_unverified(g)
@@ -189,6 +186,67 @@ class TestGeneratedOrder:
             order = sympy_order(degree, gens)
             with pytest.raises(EngineInvariantViolated):
                 _generated_order(degree, gens, order - 1)
+
+
+class TestClosures:
+    """The member closure and the normal closure, which grow one chain by
+    unverified sifts, against brute force and sympy."""
+
+    def test_from_elements_rejects_a_set_the_unverified_bound_accepts(self):
+        # sifted unverified, (), (1,2), (1,3) bound the order by 3, their
+        # number, although they generate S3
+        members = [parse_cycles(c, 3)._img for c in ("()", "(1,2)", "(1,3)")]
+        with pytest.raises(NotInGroup):
+            PermGroup.from_elements(3, members)
+
+    def test_subgroup_gens_stops_once_the_bound_passes_the_size(self, monkeypatch):
+        a4 = CatalogEntry.from_spec(FamilySpec("alternating", (4,))).group
+        members = sorted({*enumerate_elements(a4).raw(), parse_cycles("(1,2)", 4)._img})
+
+        verify = StabilizerChain.verify
+
+        def verify_empty_only(chain):
+            # the constructor verifies the empty chain
+            assert not chain.bases, "verify() ran after the bound passed the size"
+            verify(chain)
+
+        monkeypatch.setattr(StabilizerChain, "verify", verify_empty_only)
+        assert _subgroup_gens(4, members) is None
+
+    def normal_closure_cases(self):
+        cases = [
+            ("symmetric", (4,), "(1,2)(3,4)", 4),
+            ("symmetric", (5,), "(1,2,3)", 60),
+            ("frobenius_pq", (11, 23), "(" + ",".join(map(str, range(1, 24))) + ")", 23),
+        ]
+        for family, params, seed, order in cases:
+            G = CatalogEntry.from_spec(FamilySpec(family, params)).group
+            yield G.degree, [g._img for g in G.generators], [parse_cycles(seed, G.degree)._img], order
+        # seeded intransitive groups on 3 + 4 points, with seeds drawn from
+        # words in their generators
+        rng = random.Random(17)
+        for _ in range(6):
+            gens = [tuple(rng.sample(range(3), 3) + rng.sample(range(3, 7), 4)) for _ in range(2)]
+            seeds = []
+            for _ in range(rng.randrange(1, 3)):
+                word = tuple(range(7))
+                for _ in range(rng.randrange(1, 5)):
+                    word = _mul(word, rng.choice(gens))
+                seeds.append(word)
+            yield 7, gens, seeds, None
+
+    def test_normal_closure_matches_sympy(self):
+        proper = 0
+        for degree, gens, seeds, expected in self.normal_closure_cases():
+            ambient = SymGroup([SymPerm(list(t), size=degree) for t in gens])
+            closure = ambient.normal_closure([SymPerm(list(t), size=degree) for t in seeds])
+            order = StabilizerChain(degree, _normal_closure_gens(degree, gens, seeds)).order()
+            assert order == closure.order()
+            if expected is not None:
+                assert order == expected
+            proper += 1 < order < ambient.order()
+        # the three named closures and at least two seeded ones are proper
+        assert proper >= 5
 
 
 class TestSubgroups:
@@ -357,6 +415,20 @@ class TestConjugacyClasses:
         assert x is not None and x.order() == 5
         assert first_element_of_order(a5, 4) is None
 
+    @pytest.mark.parametrize(
+        "family,params",
+        [("alternating", (n,)) for n in (4, 5, 6, 7)]
+        + [("symmetric", (n,)) for n in (3, 4, 5, 6)]
+        + [("psl2", (q,)) for q in (4, 5, 7, 8, 9, 11, 13, 16, 17, 19)]
+        + [("psl3_2", ()), ("sl2", (5,)), ("agl1", (11,)), ("dihedral", (12,))],
+    )
+    def test_first_element_of_order_is_the_first_class_rep(self, family, params):
+        G = CatalogEntry.from_spec(FamilySpec(family, params)).group
+        reps = conjugacy_class_reps(G)
+        for k in range(1, 40):
+            expected = next((r for r in reps if r.order() == k), None)
+            assert first_element_of_order(G, k) == expected
+
 
 class TestQuotient:
     def test_sl25_mod_center(self, sl2_5):
@@ -367,9 +439,7 @@ class TestQuotient:
         derived = _derived_gens(quotient.degree, [g._img for g in quotient.generators])
         assert StabilizerChain(quotient.degree, derived).order() == 60
         x = sl2_5.generators[0]
-        assert proj.apply(x) in quotient
-        with pytest.raises(NotInGroup):
-            proj.apply(parse_cycles("(1,2)", sl2_5.degree))
+        assert Permutation._from_tuple(proj(x._img)) in quotient
 
     def test_quotient_requires_normal(self, s4):
         s3 = PermGroup(4, [parse_cycles("(1,2,3)", 4), parse_cycles("(1,2)", 4)])

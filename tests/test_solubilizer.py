@@ -21,6 +21,7 @@ from sympy.combinatorics import PermutationGroup as SymGroup
 
 import solvlab
 
+from solvlab.cycles import parse_cycles
 from solvlab.errors import (
     GroupSoluble,
     NormalizerIsWholeGroup,
@@ -484,8 +485,8 @@ class TestCountingIdentities:
         x = first_element_of_order(a5, 3)
         y = first_element_of_order(a5, 5)
         H = PermGroup(a5.degree, [x])
-        not_invariant = ElementSet.from_permutations(
-            a5.degree, [Permutation.identity(a5.degree), y]
+        not_invariant = ElementSet(
+            a5.degree, (p._img for p in [Permutation.identity(a5.degree), y])
         )
         with pytest.raises(NotInvariantSet):
             orbit_count(H, not_invariant)
@@ -597,13 +598,17 @@ class TestQuotientCheck:
 
     def test_requires_normal_soluble(self, s4, a5):
         from solvlab.group import PermGroup
-        from solvlab.cycles import parse_cycles
 
         s3 = PermGroup(4, [parse_cycles("(1,2,3)", 4), parse_cycles("(1,2)", 4)])
         with pytest.raises(NotNormal):
             quotient_sol_check(s4, s3, s4.generators[0])
         with pytest.raises(NotSoluble):
             quotient_sol_check(a5, a5, a5.generators[0])
+
+    def test_rejects_x_outside_g(self, sl2_5):
+        z = brute_center(sl2_5)
+        with pytest.raises(NotInGroup):
+            quotient_sol_check(sl2_5, z, parse_cycles("(1,2)", sl2_5.degree))
 
 
 class TestAbelianKernelFormula:
@@ -619,7 +624,7 @@ class TestAbelianKernelFormula:
         record = sol_record(G, x)
         kernel_members = enumerate_elements(record.c_x)
         n_orbits_on_kernel = orbit_count(
-            record.n_x, ElementSet.from_permutations(G.degree, kernel_members)
+            record.n_x, ElementSet(G.degree, (p._img for p in kernel_members))
         )
         ell = n_orbits_on_kernel - 1
         index = record.n_x.order() // record.c_x.order()
