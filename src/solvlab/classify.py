@@ -255,7 +255,7 @@ def cross_validate(row: ClassifierRow, cap: int = DEFAULT_CAP) -> CrossValidatio
                 problems.append(
                     f"structure {tag} != expected {row.maximal_structure}"
                 )
-            inverting = _has_inverting_involution(record)
+            inverting = _has_inverting_involution(record, cap)
             if inverting != expected.startswith("D_"):
                 problems.append("inverting-involution test disagrees with shape")
         if problems:
@@ -280,10 +280,10 @@ def _normalize_structure(tag: str) -> str:
     return tag
 
 
-def _has_inverting_involution(record) -> bool:
+def _has_inverting_involution(record, cap: int) -> bool:
     xt = record.x._img
     x_inv = _inv(xt)
-    for h in enumerate_elements(record.n_x).raw():
+    for h in enumerate_elements(record.n_x, cap).raw():
         if _order(h) == 2 and _conj(xt, h) == x_inv:
             return True
     return False

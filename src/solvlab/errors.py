@@ -103,10 +103,6 @@ class EngineInvariantViolated(SolvLabError):
     """A fact that holds for every input failed; signals an engine bug."""
 
 
-class DerivedDepthExceeded(SolvLabError):
-    """Derived series failed to stabilize within the depth limit (engine bug guard)."""
-
-
 class InvalidBase(SolvLabError):
     """q is not a prime power >= 2."""
 

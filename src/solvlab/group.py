@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DegreeMismatch,
-    DerivedDepthExceeded,
     EngineInvariantViolated,
     NotInGroup,
     NotNormal,
@@ -29,8 +28,6 @@ from .errors import (
 from .perm import Permutation, Tup, _comm, _commutes, _conj, _identity, _inv, _mul, _order
 
 DEFAULT_CAP = 20000
-
-_DERIVED_DEPTH_LIMIT = 64
 
 
 class StabilizerChain:
@@ -206,16 +203,11 @@ def _certificate_words(gens: Sequence[Tup]):
 _IDLE_SIFT_LIMIT = 8
 
 
-def _generated_order(degree: int, gens: Sequence[Tup], target: int) -> int:
-    """|<gens>|, given that target bounds it from above.
-
-    Generation certificate: gens and fixed words in them are sifted into a
-    stabilizer chain without Schreier verification.  Every strong generator
-    lies in <gens>, so the product of the basic orbit lengths bounds |<gens>|
-    from below; once it reaches target, the order is target.  Otherwise the
-    chain is verified, after _IDLE_SIFT_LIMIT idle sifts in a row or the last
-    word, and its order is exact.  An order above target breaks the
-    precondition and raises EngineInvariantViolated.
+def _certificate_chain(degree: int, gens: Sequence[Tup], target: int) -> StabilizerChain:
+    """The generation certificate: gens and fixed words in them sifted into
+    a chain without Schreier verification, until the order bound reaches
+    target, _IDLE_SIFT_LIMIT sifts in a row add nothing, or the words end.
+    Every strong generator lies in <gens>, so the bound is at most |<gens>|.
     """
     chain = StabilizerChain(degree)
     idle = 0
@@ -223,6 +215,14 @@ def _generated_order(degree: int, gens: Sequence[Tup], target: int) -> int:
         idle = 0 if chain.sift_unverified(w) else idle + 1
         if chain.order() >= target or idle == _IDLE_SIFT_LIMIT:
             break
+    return chain
+
+
+def _generated_order(degree: int, gens: Sequence[Tup], target: int) -> int:
+    """|<gens>|, given that target bounds it from above: target once the
+    certificate's bound reaches it, else the verified chain's order.  An
+    order above target raises EngineInvariantViolated."""
+    chain = _certificate_chain(degree, gens, target)
     if chain.order() < target:
         chain.verify()
     if chain.order() > target:
@@ -273,9 +273,9 @@ class ElementSet:
         return f"ElementSet(degree={self.degree}, size={len(self._tuples)})"
 
 
-def _subgroup_gens(degree: int, members: Sequence[Tup]) -> list[Tup] | None:
-    """The members that grow one chain when sifted in order, or None if the
-    distinct members are not closed under products.
+def _subgroup_gens(degree: int, members: Sequence[Tup]) -> tuple[list[Tup], StabilizerChain] | None:
+    """The members that grow one chain when sifted in order, with that chain
+    verified, or None if the distinct members are not closed under products.
 
     A member that sifts to the identity is a product of strong generators,
     so the chain's group, generated by the members kept, contains every
@@ -292,7 +292,7 @@ def _subgroup_gens(degree: int, members: Sequence[Tup]) -> list[Tup] | None:
                 return None
             gens.append(t)
     chain.verify()
-    return gens if chain.order() == size else None
+    return (gens, chain) if chain.order() == size else None
 
 
 class PermGroup:
@@ -331,16 +331,18 @@ class PermGroup:
         """Group generated by (and equal to) the given closed element set.
 
         Elements are scanned in canonical order and only chain-growing ones
-        are kept as generators, so the generator list stays short.
+        are kept as generators; the group keeps the chain they grew.
         """
         members = sorted(set(raw))
-        gens = _subgroup_gens(degree, members)
-        if gens is None:
+        found = _subgroup_gens(degree, members)
+        if found is None:
             raise NotInGroup(
                 "element collection is not closed under multiplication"
             )
-        group = cls._from_raw(degree, gens)
-        group._cache["elements"] = ElementSet(degree, members)
+        group = cls.__new__(cls)
+        group.degree, group._chain = degree, found[1]
+        group.generators = tuple(Permutation._from_tuple(t) for t in found[0])
+        group._cache = {"elements": ElementSet(degree, members)}
         return group
 
     def order(self) -> int:
@@ -384,8 +386,10 @@ def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     return out
 
 
-def _normal_closure_gens(degree: int, ambient_gens: list[Tup], seeds: list[Tup]) -> list[Tup]:
-    """Generators of the normal closure of seeds under the ambient generators.
+def _normal_closure_gens(
+    degree: int, ambient_gens: list[Tup], seeds: list[Tup]
+) -> tuple[list[Tup], StabilizerChain]:
+    """Generators of the normal closure of seeds under ambient_gens, and their chain.
 
     Seeds and conjugates are kept when they grow one unverified chain.  Every
     strong generator lies in <kept>, so a conjugate that sifts to the
@@ -401,42 +405,44 @@ def _normal_closure_gens(degree: int, ambient_gens: list[Tup], seeds: list[Tup])
             c = _conj(s, t)
             if chain.sift_unverified(c):
                 kept.append(c)
-    return kept
+    return kept, chain
 
 
-def _derived_gens(degree: int, gens: list[Tup]) -> list[Tup]:
-    """Generators of the derived subgroup of the group generated by gens."""
-    idn = _identity(degree)
-    comms = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            c = _comm(gens[i], gens[j])
-            if c != idn and c not in comms:
-                comms.append(c)
+def _derived_gens(degree: int, gens: list[Tup]) -> tuple[list[Tup], StabilizerChain]:
+    """Generators of the derived subgroup of <gens>, the normal closure of
+    the generators' commutators, with its unverified chain.  A trivial or
+    repeated commutator does not grow the chain, so it is not kept."""
+    comms = [_comm(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
     return _normal_closure_gens(degree, gens, comms)
 
 
-def _soluble_from_gens(degree: int, gens: list[Tup], order: int) -> bool:
-    """Derived-series solubility test on raw generators (order known); each
-    term's order is _generated_order's, with the previous term's as bound."""
-    for _ in range(_DERIVED_DEPTH_LIMIT):
-        nxt = _derived_gens(degree, gens)
-        if not nxt:
+def _soluble_from_gens(degree: int, gens: list[Tup]) -> bool:
+    """Whether <gens> is soluble, by a derived-series walk that needs no group order.
+
+    Each term K = <gens> comes with K' = <derived> and its unverified chain,
+    whose strong generators lie in K'.  No K' generators: K is abelian, so
+    soluble.  Every generator of K sifts to the identity, before or after
+    the chain is verified: K = K' != 1, so insoluble.  Otherwise K' is a
+    proper subgroup of K and the walk goes on with it; the orders fall
+    strictly, so it ends after at most log2 |<gens>| terms.
+    """
+    while True:
+        derived, chain = _derived_gens(degree, gens)
+        if not derived:
             return True
-        d_order = _generated_order(degree, nxt, order)
-        if d_order == order:
+        if all(chain.contains(g) for g in gens):
             return False
-        gens, order = nxt, d_order
-    raise DerivedDepthExceeded("derived series did not stabilize in 64 steps")
+        chain.verify()
+        if all(chain.contains(g) for g in gens):
+            return False
+        gens = derived
 
 
 def is_soluble(G: PermGroup) -> bool:
     """True when the derived series of G reaches the trivial group."""
     cached = G._cache.get("soluble")
     if cached is None:
-        cached = _soluble_from_gens(
-            G.degree, [g._img for g in G.generators], G.order()
-        )
+        cached = _soluble_from_gens(G.degree, [g._img for g in G.generators])
         G._cache["soluble"] = cached
     return cached
 
@@ -585,9 +591,9 @@ def is_normal(G: PermGroup, H: PermGroup) -> bool:
 def is_maximal(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> bool:
     """Whether a proper subgroup H is maximal: <H, g> = G for every g outside H.
 
-    One witness per right coset of H suffices, since <H, g> = <H, hg>.  As in
-    the pair-solubility test, |<H, g>| is _generated_order's with target |G|:
-    a certificate settles <H, g> = G, and only a smaller group is verified.
+    One witness per right coset of H suffices, since <H, g> = <H, hg>.
+    |<H, g>| is _generated_order's with target |G|: the certificate settles
+    <H, g> = G, and only a smaller group's chain is verified.
     """
     if not is_subgroup_of(H, G):
         raise NotInGroup("H is not a subgroup of G")

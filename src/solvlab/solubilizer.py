@@ -39,9 +39,10 @@ from .group import (
     ElementSet,
     PermGroup,
     StabilizerChain,
+    _certificate_chain,
     _conjugation_orbits,
     _cyclic_tuples,
-    _generated_order,
+    _derived_gens,
     _soluble_from_gens,
     _subgroup_gens,
     centralizer,
@@ -87,25 +88,16 @@ def _powers_set(G: PermGroup, t: Tup) -> frozenset:
     return s
 
 
-_SMALLEST_INSOLUBLE_ORDER = 60
-
-
 def _pair_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
     """Whether the subgroup H of G generated by two elements is soluble.
 
     Verdicts are memoized per group, keyed by the unordered pair of image
-    tuples.  Each rule below is an exact implication, never a heuristic:
-      - either element normalizes the cyclic group of the other (the
-        identity does): H is cyclic-by-cyclic, hence soluble;
-      - n = |H| is group._generated_order's with target |G|, the test that
-        is_maximal and the derived series share: a certificate proves H = G,
-        or a verified chain gives n.  If n = |G|, the answer is the
-        solubility of G itself;
-      - every group of order n < 60 is soluble (A5, of order 60, is the
-        smallest insoluble group), and by Burnside's p^a q^b theorem so is
-        every group whose order has at most two prime divisors;
-      - only the remaining pairs run the derived series.
-    _pair_soluble_chain, the test by one verified chain, is the oracle.
+    tuples.  Each rule is exact: if either element normalizes the cyclic
+    group of the other (the identity does), H is cyclic-by-cyclic, hence
+    soluble; if the unverified bound of group._certificate_chain reaches
+    |G|, H = G and G's own flag decides; every other pair walks the derived
+    series of H (group._soluble_from_gens), which needs no group order.
+    _pair_soluble_chain, the test by verified chains, is the oracle.
     """
     key = (a, b) if a <= b else (b, a)
     memo = G._cache.setdefault("pair_soluble", {})
@@ -113,24 +105,28 @@ def _pair_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
     if verdict is None:
         if _conj(a, b) in _powers_set(G, a) or _conj(b, a) in _powers_set(G, b):
             verdict = True
-        elif (n := _generated_order(G.degree, [a, b], G.order())) == G.order():
+        elif _certificate_chain(G.degree, [a, b], G.order()).order() == G.order():
             verdict = is_soluble(G)
-        elif n < _SMALLEST_INSOLUBLE_ORDER or len(factorize(n)) <= 2:
-            verdict = True
         else:
-            verdict = _soluble_from_gens(G.degree, [a, b], n)
+            verdict = _soluble_from_gens(G.degree, [a, b])
         memo[key] = verdict
     return verdict
 
 
 def _pair_soluble_chain(G: PermGroup, a: Tup, b: Tup) -> bool:
-    """The same verdict as _pair_soluble, by one verified stabilizer chain
-    and then the derived series.  Not memoized; it is the oracle that checks
-    _pair_soluble."""
-    sub_order = StabilizerChain(G.degree, [a, b]).order()
-    if sub_order == G.order():
-        return is_soluble(G)
-    return _soluble_from_gens(G.degree, [a, b], sub_order)
+    """The same verdict as _pair_soluble, by one verified chain's order per
+    term of the derived series of <a, b>: soluble once a term is trivial,
+    insoluble once the order stops falling.  Not memoized, and blind to the
+    certificate and the walk; it is the oracle that checks _pair_soluble."""
+    gens = [a, b]
+    order = StabilizerChain(G.degree, gens).order()
+    while order > 1:
+        gens, _ = _derived_gens(G.degree, gens)
+        derived_order = StabilizerChain(G.degree, gens).order()
+        if derived_order == order:
+            return False
+        order = derived_order
+    return True
 
 
 def _sol_is_everything(G: PermGroup, xt: Tup) -> bool:
@@ -519,7 +515,7 @@ def quotient_sol_check(G: PermGroup, N: PermGroup, x: Permutation, cap: int = DE
         raise NotNormal("the subgroup is not normal in G")
     if not is_soluble(N):
         raise NotSoluble("the normal subgroup must be soluble")
-    quotient, project = quotient_by_normal(G, N)
+    quotient, project = quotient_by_normal(G, N, cap)
     sol = sol_set(G, x, cap)
     image = ElementSet(quotient.degree, {project(t) for t in sol.raw()})
     # project does not check membership; sol_set has rejected an x outside G

@@ -100,7 +100,7 @@ class TestConstructions:
         G = make_family(FamilySpec("frobenius_pq", (11, 23)))
         assert G.order() == 253 and G.degree == 23
         assert brute_point_stabilizer(G, 1).order() == 11
-        derived = _derived_gens(G.degree, [g._img for g in G.generators])
+        derived, _ = _derived_gens(G.degree, [g._img for g in G.generators])
         assert StabilizerChain(G.degree, derived).order() == 23
 
     def test_psl2_simplicity_via_normal_closures(self):
@@ -110,7 +110,7 @@ class TestConstructions:
             for rep in conjugacy_class_reps(G):
                 if rep.is_identity():
                     continue
-                closure = _normal_closure_gens(G.degree, gens, [rep._img])
+                closure, _ = _normal_closure_gens(G.degree, gens, [rep._img])
                 assert StabilizerChain(G.degree, closure).order() == G.order()
 
     def test_psl3_2_matches_sympy(self):

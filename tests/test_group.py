@@ -199,6 +199,22 @@ class TestClosures:
         with pytest.raises(NotInGroup):
             PermGroup.from_elements(3, members)
 
+    def test_from_elements_builds_one_chain(self, monkeypatch):
+        a4 = CatalogEntry.from_spec(FamilySpec("alternating", (4,))).group
+        members = enumerate_elements(a4).raw()
+        built = []
+        init = StabilizerChain.__init__
+
+        def counting_init(chain, *args):
+            built.append(chain)
+            init(chain, *args)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+        group = PermGroup.from_elements(4, members)
+        assert built == [group._chain]
+        assert group.order() == 12
+        assert_chain_invariant(group._chain)
+
     def test_subgroup_gens_stops_once_the_bound_passes_the_size(self, monkeypatch):
         a4 = CatalogEntry.from_spec(FamilySpec("alternating", (4,))).group
         members = sorted({*enumerate_elements(a4).raw(), parse_cycles("(1,2)", 4)._img})
@@ -240,7 +256,8 @@ class TestClosures:
         for degree, gens, seeds, expected in self.normal_closure_cases():
             ambient = SymGroup([SymPerm(list(t), size=degree) for t in gens])
             closure = ambient.normal_closure([SymPerm(list(t), size=degree) for t in seeds])
-            order = StabilizerChain(degree, _normal_closure_gens(degree, gens, seeds)).order()
+            closure_gens, _ = _normal_closure_gens(degree, gens, seeds)
+            order = StabilizerChain(degree, closure_gens).order()
             assert order == closure.order()
             if expected is not None:
                 assert order == expected
@@ -346,12 +363,12 @@ class TestDerivedSeriesAndSolubility:
         for a, b in itertools.product(members, repeat=2):
             brute.add(a.inverse() * b.inverse() * a * b)
         gens = [g._img for g in s4.generators]
-        d1 = PermGroup._from_raw(4, _derived_gens(4, gens))
+        d1 = PermGroup._from_raw(4, _derived_gens(4, gens)[0])
         closure = brute_closure(4, list(brute))
         assert set(enumerate_elements(d1)) == closure
         orders = [s4.order()]
         while gens:
-            gens = _derived_gens(4, gens)
+            gens, _ = _derived_gens(4, gens)
             orders.append(StabilizerChain(4, gens).order())
         assert orders == [24, 12, 4, 1]
 
@@ -362,11 +379,17 @@ class TestDerivedSeriesAndSolubility:
             ("alternating", (4,)),
             ("alternating", (5,)),
             ("dihedral", (9,)),
+            ("sl2", (3,)),
             ("sl2", (5,)),
             ("psl2", (7,)),
             ("agl1", (11,)),
         ]:
             G = CatalogEntry.from_spec(FamilySpec(family, params)).group
+            assert is_soluble(G) == to_sympy(G).is_solvable
+        # SL(2,3) has derived length 3; the seeded sets give S6, S7, A7 and
+        # intransitive groups
+        for degree, gens in chain_test_gen_sets():
+            G = PermGroup._from_raw(degree, gens)
             assert is_soluble(G) == to_sympy(G).is_solvable
 
     def test_is_abelian(self, a5):
@@ -436,7 +459,7 @@ class TestQuotient:
         quotient, proj = quotient_by_normal(sl2_5, z)
         assert quotient.order() == 60
         assert not is_soluble(quotient)
-        derived = _derived_gens(quotient.degree, [g._img for g in quotient.generators])
+        derived, _ = _derived_gens(quotient.degree, [g._img for g in quotient.generators])
         assert StabilizerChain(quotient.degree, derived).order() == 60
         x = sl2_5.generators[0]
         assert Permutation._from_tuple(proj(x._img)) in quotient

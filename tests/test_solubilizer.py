@@ -20,6 +20,8 @@ from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
 import solvlab
+import solvlab.group
+import solvlab.solubilizer
 
 from solvlab.cycles import parse_cycles
 from solvlab.errors import (
@@ -29,12 +31,14 @@ from solvlab.errors import (
     NotInvariantSet,
     NotNormal,
     NotSoluble,
+    OrderExceedsCap,
     SubgroupChainViolated,
 )
 from solvlab.families import CatalogEntry, FamilySpec
 from solvlab.group import (
     ElementSet,
     PermGroup,
+    StabilizerChain,
     conjugacy_class_reps,
     enumerate_elements,
     first_element_of_order,
@@ -223,8 +227,9 @@ class TestReducedScanAgainstOracle:
 
 
 class TestPairTestAgainstChainOracle:
-    """_pair_soluble decides by a generation certificate and order theorems;
-    _pair_soluble_chain verifies one stabilizer chain per pair.
+    """_pair_soluble decides by a generation certificate and a derived-series
+    walk on unverified chains; _pair_soluble_chain verifies one stabilizer
+    chain per term of the derived series.
 
     Each side runs on its own copy of the group, so neither reads a verdict
     or a solubility flag the other cached.
@@ -264,6 +269,50 @@ class TestPairTestAgainstChainOracle:
         n = len(a)
         G, oracle_copy = fresh("symmetric", n), fresh("symmetric", n)
         assert _pair_soluble(G, a, b) == _pair_soluble_chain(oracle_copy, a, b)
+
+    def test_walk_takes_both_insoluble_exits_on_s5(self, monkeypatch):
+        # The walk calls a term K perfect when K's generators sift to the
+        # identity through the unverified chain of K', or through that chain
+        # once verified.  Count which chain decided each walk the pair test
+        # makes on the class-representative pairs of S5.
+        G = fresh("symmetric", 5)
+        verified, last = [], []
+        verify, derived_gens = StabilizerChain.verify, solvlab.group._derived_gens
+        walk = solvlab.solubilizer._soluble_from_gens
+
+        def counting_verify(chain):
+            # the constructor verifies every chain while it is still empty
+            if chain.bases:
+                verified.append(chain)
+            verify(chain)
+
+        def recording_derived_gens(degree, gens):
+            out = derived_gens(degree, gens)
+            last[:] = [out[1]]
+            return out
+
+        exits = {"soluble": 0, "unverified": 0, "verified": 0}
+
+        def counting_walk(degree, gens):
+            verified.clear()
+            soluble = walk(degree, gens)
+            if soluble:
+                exits["soluble"] += 1
+            elif any(chain is last[0] for chain in verified):
+                exits["verified"] += 1
+            else:
+                exits["unverified"] += 1
+            return soluble
+
+        monkeypatch.setattr(StabilizerChain, "verify", counting_verify)
+        monkeypatch.setattr(solvlab.group, "_derived_gens", recording_derived_gens)
+        monkeypatch.setattr(solvlab.solubilizer, "_soluble_from_gens", counting_walk)
+        for rep in conjugacy_class_reps(G):
+            for g in enumerate_elements(G).raw():
+                _pair_soluble(G, rep._img, g)
+        assert exits["soluble"] > 0
+        assert exits["unverified"] > 0
+        assert exits["verified"] > 0
 
     def test_seeded_sample_against_sympy(self):
         rng = random.Random(20251018)
@@ -609,6 +658,12 @@ class TestQuotientCheck:
         z = brute_center(sl2_5)
         with pytest.raises(NotInGroup):
             quotient_sol_check(sl2_5, z, parse_cycles("(1,2)", sl2_5.degree))
+
+    def test_cap_refuses_before_the_quotient_is_built(self):
+        G = fresh("sl2", 5)
+        with pytest.raises(OrderExceedsCap):
+            quotient_sol_check(G, brute_center(G), G.generators[0], cap=119)
+        assert "quotient" not in G._cache
 
 
 class TestAbelianKernelFormula:
