@@ -18,8 +18,10 @@ import sys
 from .checks import CHECK_TOKENS, _ratio_str, run_catalog_checks
 from .classify import cross_validate, table2_enumerate, theorem44_enumerate
 from .cycles import format_cycles, parse_cycles
-from .errors import EngineInvariantViolated, InvalidParameter, NotInGroup, SolvLabError
-from .families import CatalogEntry, FamilySpec, load_group_file
+from .errors import (
+    EngineInvariantViolated, InvalidParameter, NotInGroup, OrderExceedsCap, SolvLabError
+)
+from .families import FAMILY_TOKENS, CatalogEntry, FamilySpec, load_group_file
 from .group import (
     DEFAULT_CAP,
     conjugacy_class_reps,
@@ -29,18 +31,6 @@ from .group import (
 from .report import VerificationReport
 from .solubilizer import sol_record
 from .zsigmondy import primitive_prime_divisors
-
-_FAMILY_TOKENS = {
-    "a": "alternating",
-    "s": "symmetric",
-    "c": "cyclic",
-    "d": "dihedral",
-    "agl1": "agl1",
-    "psl2": "psl2",
-    "sl2": "sl2",
-    "frob": "frobenius_pq",
-    "psl3_2": "psl3_2",
-}
 
 # Reference values for the A5 table, one column per conjugacy class kind:
 # sol_size, nx_order, nx structure, cx_order, ell_cx, ratio.  The identity
@@ -74,23 +64,11 @@ def _add_common_flags(sub: argparse.ArgumentParser, cap: bool = True) -> None:
         sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
 
-def _parse_family_token(text: str) -> FamilySpec:
-    head, _, rest = text.partition(":")
-    family = _FAMILY_TOKENS.get(head)
-    if family is None:
-        raise InvalidParameter(f"unknown family token {text!r}")
-    try:
-        params = tuple(int(p) for p in rest.split(":")) if rest else ()
-    except ValueError:
-        raise InvalidParameter(f"family parameters must be integers: {text!r}")
-    spec = FamilySpec(family, params)
-    spec.validate()
-    return spec
-
-
 def _load_group(ns) -> CatalogEntry:
     if ns.family is not None:
-        spec = _parse_family_token(ns.family)
+        spec = FamilySpec.parse(ns.family)
+        if spec.order() > ns.cap:
+            raise OrderExceedsCap(spec.order(), ns.cap)
         return CatalogEntry.from_spec(spec)
     return load_group_file(ns.file)
 
@@ -331,7 +309,11 @@ def _build_parser() -> _Parser:
 
     p_sol = sub.add_parser("sol", help="solubilizer record for one element")
     src = p_sol.add_mutually_exclusive_group(required=True)
-    src.add_argument("--family", help="family token, e.g. a:5, psl2:7, frob:11:23")
+    src.add_argument(
+        "--family",
+        help="family token and its integer parameters, e.g. a:5, psl2:7, "
+        "frob:11:23; tokens: " + ", ".join(FAMILY_TOKENS),
+    )
     src.add_argument("--file", help="path to a group file")
     which = p_sol.add_mutually_exclusive_group(required=True)
     which.add_argument("--element", help="cycle notation, e.g. \"(1,2,3)\"")

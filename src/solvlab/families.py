@@ -13,14 +13,19 @@ permutation groups:
     psl2(q)              PSL(2, q) on the q + 1 projective-line points, q >= 4
     psl3_2               PSL(3, 2) on 7 points, shipped as fixed generators
 
-Every constructor checks the closed-form order of the result, so a wrong
-generating set cannot slip through silently.
+Each family is declared once, as an entry of the table `_FAMILIES`: its
+command-line token, arity, parameter check, closed-form order, catalog name
+and constructor.  `FamilySpec` and `make_family` read that table and
+nothing else, so adding a family is adding one entry.  Every construction
+checks the closed-form order of the result, so a wrong generating set
+cannot slip through silently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .cycles import format_cycles, parse_cycles
 from .errors import CycleSyntaxError, FormatError, InvalidParameter
@@ -28,20 +33,6 @@ from .fields import GF
 from .group import PermGroup, is_soluble
 from .numtheory import is_prime, is_prime_power, least_primitive_root
 from .perm import Permutation
-
-_FAMILY_NAMES = (
-    "cyclic",
-    "dihedral",
-    "symmetric",
-    "alternating",
-    "agl1",
-    "frobenius_pq",
-    "sl2",
-    "psl2",
-    "psl3_2",
-)
-
-_PSL32_GENS = ("(1,3)(5,7)", "(1,2,4)(3,6,5)")
 
 
 @dataclass(frozen=True)
@@ -51,91 +42,95 @@ class FamilySpec:
     family: str
     params: tuple[int, ...] = ()
 
-    def validate(self) -> None:
-        f, ps = self.family, self.params
-        if f not in _FAMILY_NAMES:
-            raise InvalidParameter(f"unknown family {f!r}")
-        counts = {"frobenius_pq": 2, "psl3_2": 0}
-        expected = counts.get(f, 1)
-        if len(ps) != expected:
+    @classmethod
+    def parse(cls, text: str) -> "FamilySpec":
+        """The validated spec of a token such as a:5, psl2:7 or frob:11:23."""
+        head, _, rest = text.partition(":")
+        family = next((f for f, e in _FAMILIES.items() if e.token == head), None)
+        if family is None:
+            raise InvalidParameter(f"unknown family token {text!r}")
+        try:
+            params = tuple(int(p) for p in rest.split(":")) if rest else ()
+        except ValueError:
+            raise InvalidParameter(f"family parameters must be integers: {text!r}")
+        spec = cls(family, params)
+        spec.validate()
+        return spec
+
+    def _entry(self) -> _Family:
+        """The table entry of a known family with valid parameters."""
+        entry = _FAMILIES.get(self.family)
+        if entry is None:
+            raise InvalidParameter(f"unknown family {self.family!r}")
+        if len(self.params) != entry.arity:
             raise InvalidParameter(
-                f"family {f} takes {expected} parameter(s), got {len(ps)}"
+                f"family {self.family} takes {entry.arity} parameter(s), "
+                f"got {len(self.params)}"
             )
-        if f == "cyclic" and ps[0] < 1:
-            raise InvalidParameter("cyclic requires n >= 1")
-        if f == "dihedral" and ps[0] < 3:
-            raise InvalidParameter("dihedral requires n >= 3 (order 2n)")
-        if f == "symmetric" and ps[0] < 1:
-            raise InvalidParameter("symmetric requires n >= 1")
-        if f == "alternating" and ps[0] < 3:
-            raise InvalidParameter("alternating requires n >= 3")
-        if f == "agl1" and not is_prime(ps[0]):
-            raise InvalidParameter("agl1 requires a prime p")
-        if f == "frobenius_pq":
-            p, q = ps
-            if not (is_prime(p) and is_prime(q)):
-                raise InvalidParameter("frobenius_pq requires primes p, q")
-            if p >= q or (q - 1) % p != 0:
-                raise InvalidParameter("frobenius_pq requires p < q and p | q-1")
-        if f == "sl2" and is_prime_power(ps[0]) is None:
-            raise InvalidParameter("sl2 requires a prime power q >= 2")
-        if f == "psl2":
-            if is_prime_power(ps[0]) is None or ps[0] < 4:
-                raise InvalidParameter("psl2 requires a prime power q >= 4")
+        message = entry.check(*self.params)
+        if message is not None:
+            raise InvalidParameter(message)
+        return entry
+
+    def validate(self) -> None:
+        self._entry()
 
     def order(self) -> int:
         """Closed-form order of the family member (no construction needed)."""
-        self.validate()
-        f, ps = self.family, self.params
-        if f == "cyclic":
-            return ps[0]
-        if f == "dihedral":
-            return 2 * ps[0]
-        if f == "symmetric":
-            return math.factorial(ps[0])
-        if f == "alternating":
-            return math.factorial(ps[0]) // 2
-        if f == "agl1":
-            return ps[0] * (ps[0] - 1)
-        if f == "frobenius_pq":
-            return ps[0] * ps[1]
-        if f == "sl2":
-            q = ps[0]
-            return q * (q * q - 1)
-        if f == "psl2":
-            q = ps[0]
-            return q * (q * q - 1) // math.gcd(2, q - 1)
-        return 168
+        return self._entry().order(*self.params)
 
     def name(self) -> str:
-        f, ps = self.family, self.params
-        if f == "cyclic":
-            return f"C{ps[0]}"
-        if f == "dihedral":
-            return f"D{2 * ps[0]}"
-        if f == "symmetric":
-            return f"S{ps[0]}"
-        if f == "alternating":
-            return f"A{ps[0]}"
-        if f == "agl1":
-            return f"AGL1({ps[0]})"
-        if f == "frobenius_pq":
-            return f"C{ps[1]}:C{ps[0]}"
-        if f == "sl2":
-            return f"SL(2,{ps[0]})"
-        if f == "psl2":
-            return f"PSL(2,{ps[0]})"
-        return "PSL(3,2)"
+        return self._entry().name(*self.params)
+
+
+def _cycle(n: int) -> Permutation:
+    """The n-cycle (1, 2, ..., n)."""
+    return Permutation((i % n) + 1 for i in range(1, n + 1))
+
+
+def _cyclic_group(n: int) -> PermGroup:
+    return PermGroup(n, [] if n == 1 else [_cycle(n)])
+
+
+def _dihedral_group(n: int) -> PermGroup:
+    refl = Permutation(1 if i == 1 else n + 2 - i for i in range(1, n + 1))
+    return PermGroup(n, [_cycle(n), refl])
+
+
+def _symmetric_group(n: int) -> PermGroup:
+    if n == 1:
+        return PermGroup(1, [])
+    gens = [Permutation([2, 1] + list(range(3, n + 1)))]
+    if n > 2:
+        gens.append(_cycle(n))
+    return PermGroup(n, gens)
+
+
+def _alternating_group(n: int) -> PermGroup:
+    gens = [Permutation([2, 3, 1] + list(range(4, n + 1)))]
+    if n > 3:
+        if n % 2 == 1:
+            gens.append(_cycle(n))
+        else:
+            gens.append(Permutation([1] + list(range(3, n + 1)) + [2]))
+    return PermGroup(n, gens)
 
 
 def _affine_group(modulus: int, multipliers: list[int]) -> PermGroup:
     """Maps t -> a t + b on GF(modulus); point i is the field element i - 1."""
     n = modulus
-    shift = Permutation((i % n) + 1 for i in range(1, n + 1))
-    gens = [shift]
+    gens = [_cycle(n)]
     for a in multipliers:
         gens.append(Permutation((a * i) % n + 1 for i in range(n)))
     return PermGroup(n, gens)
+
+
+def _agl1_group(p: int) -> PermGroup:
+    return _affine_group(p, [] if p == 2 else [least_primitive_root(p)])
+
+
+def _frobenius_pq_group(p: int, q: int) -> PermGroup:
+    return _affine_group(q, [pow(least_primitive_root(q), (q - 1) // p, q)])
 
 
 def _sl2_generators(q: int) -> tuple[GF, list]:
@@ -192,52 +187,68 @@ def _sl2_group(q: int) -> PermGroup:
     return PermGroup(len(vectors), [act(m) for m in mats])
 
 
+def _psl3_2_group() -> PermGroup:
+    return PermGroup(7, [parse_cycles(s, 7) for s in ("(1,3)(5,7)", "(1,2,4)(3,6,5)")])
+
+
+def _frobenius_pq_check(p: int, q: int) -> str | None:
+    if not (is_prime(p) and is_prime(q)):
+        return "frobenius_pq requires primes p, q"
+    if p >= q or (q - 1) % p != 0:
+        return "frobenius_pq requires p < q and p | q-1"
+    return None
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A family; `check` returns the message of a failed requirement, or None."""
+
+    token: str
+    arity: int
+    check: Callable[..., str | None]
+    order: Callable[..., int]
+    name: Callable[..., str]
+    build: Callable[..., PermGroup]
+
+
+_FAMILIES = {
+    "cyclic": _Family(
+        "c", 1, lambda n: None if n >= 1 else "cyclic requires n >= 1",
+        lambda n: n, lambda n: f"C{n}", _cyclic_group),
+    "dihedral": _Family(
+        "d", 1, lambda n: None if n >= 3 else "dihedral requires n >= 3 (order 2n)",
+        lambda n: 2 * n, lambda n: f"D{2 * n}", _dihedral_group),
+    "symmetric": _Family(
+        "s", 1, lambda n: None if n >= 1 else "symmetric requires n >= 1",
+        math.factorial, lambda n: f"S{n}", _symmetric_group),
+    "alternating": _Family(
+        "a", 1, lambda n: None if n >= 3 else "alternating requires n >= 3",
+        lambda n: math.factorial(n) // 2, lambda n: f"A{n}", _alternating_group),
+    "agl1": _Family(
+        "agl1", 1, lambda p: None if is_prime(p) else "agl1 requires a prime p",
+        lambda p: p * (p - 1), lambda p: f"AGL1({p})", _agl1_group),
+    "frobenius_pq": _Family(
+        "frob", 2, _frobenius_pq_check,
+        lambda p, q: p * q, lambda p, q: f"C{q}:C{p}", _frobenius_pq_group),
+    "sl2": _Family(
+        "sl2", 1,
+        lambda q: None if is_prime_power(q) else "sl2 requires a prime power q >= 2",
+        lambda q: q * (q * q - 1), lambda q: f"SL(2,{q})", _sl2_group),
+    "psl2": _Family(
+        "psl2", 1,
+        lambda q: None if is_prime_power(q) and q >= 4 else "psl2 requires a prime power q >= 4",
+        lambda q: q * (q * q - 1) // math.gcd(2, q - 1), lambda q: f"PSL(2,{q})", _psl2_group),
+    "psl3_2": _Family("psl3_2", 0, lambda: None, lambda: 168, lambda: "PSL(3,2)", _psl3_2_group),
+}
+
+FAMILY_TOKENS = tuple(entry.token for entry in _FAMILIES.values())
+
+
 def make_family(spec: FamilySpec) -> PermGroup:
     """Build the permutation group for a validated family spec."""
-    spec.validate()
-    f, ps = spec.family, spec.params
-    if f == "cyclic":
-        n = ps[0]
-        gens = [] if n == 1 else [Permutation((i % n) + 1 for i in range(1, n + 1))]
-        group = PermGroup(n, gens)
-    elif f == "dihedral":
-        n = ps[0]
-        rot = Permutation((i % n) + 1 for i in range(1, n + 1))
-        refl = Permutation(1 if i == 1 else n + 2 - i for i in range(1, n + 1))
-        group = PermGroup(n, [rot, refl])
-    elif f == "symmetric":
-        n = ps[0]
-        if n == 1:
-            group = PermGroup(1, [])
-        else:
-            gens = [Permutation([2, 1] + list(range(3, n + 1)))]
-            if n > 2:
-                gens.append(Permutation((i % n) + 1 for i in range(1, n + 1)))
-            group = PermGroup(n, gens)
-    elif f == "alternating":
-        n = ps[0]
-        gens = [Permutation([2, 3, 1] + list(range(4, n + 1)))]
-        if n > 3:
-            if n % 2 == 1:
-                gens.append(Permutation((i % n) + 1 for i in range(1, n + 1)))
-            else:
-                gens.append(Permutation([1] + list(range(3, n + 1)) + [2]))
-        group = PermGroup(n, gens)
-    elif f == "agl1":
-        p = ps[0]
-        mult = [] if p == 2 else [least_primitive_root(p)]
-        group = _affine_group(p, mult)
-    elif f == "frobenius_pq":
-        p, q = ps
-        a0 = pow(least_primitive_root(q), (q - 1) // p, q)
-        group = _affine_group(q, [a0])
-    elif f == "sl2":
-        group = _sl2_group(ps[0])
-    elif f == "psl2":
-        group = _psl2_group(ps[0])
-    else:
-        group = PermGroup(7, [parse_cycles(s, 7) for s in _PSL32_GENS])
-    expected = spec.order()
+    entry = spec._entry()
+    group = entry.build(*spec.params)
+    expected = entry.order(*spec.params)
     if group.order() != expected:
         raise InvalidParameter(
             f"constructed order {group.order()} != expected {expected} for {spec}"

@@ -44,8 +44,9 @@ class TestFamilySpecs:
             FamilySpec("psl2", ()),
         ]
         for spec in bad:
-            with pytest.raises(InvalidParameter):
-                spec.validate()
+            for method in (spec.validate, spec.name, spec.order):
+                with pytest.raises(InvalidParameter):
+                    method()
 
     def test_names(self):
         cases = [

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from solvlab import solubilizer
+from solvlab import families, solubilizer
 from solvlab.cli import main
-from solvlab.families import CatalogEntry, FamilySpec, save_group_file
+from solvlab.families import _FAMILIES, CatalogEntry, FamilySpec, save_group_file
 from solvlab.group import ElementSet
 
 
@@ -79,6 +79,43 @@ class TestSol:
         code, _, err = run(capsys, "sol", "--family", "a:x", "--order", "2")
         assert code == 1
         assert "must be integers" in err
+
+    def test_family_over_cap_is_refused_before_construction(self, capsys, monkeypatch):
+        # SL(2,256) has order 16776960; building it takes over a minute
+        def build(spec):
+            raise AssertionError(f"{spec} was constructed")
+
+        monkeypatch.setattr(families, "make_family", build)
+        code, out, err = run(capsys, "sol", "--family", "sl2:256", "--order", "2")
+        assert code == 1
+        assert out == ""
+        assert "exceeds enumeration cap" in err
+
+    def test_every_family_token_names_its_family(self, capsys):
+        small = {
+            "cyclic": (4,),
+            "dihedral": (5,),
+            "symmetric": (4,),
+            "alternating": (5,),
+            "agl1": (5,),
+            "frobenius_pq": (3, 7),
+            "sl2": (3,),
+            "psl2": (4,),
+            "psl3_2": (),
+        }
+        assert set(small) == set(_FAMILIES)
+        with pytest.raises(SystemExit):
+            main(["sol", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        tokens = [entry.token for entry in _FAMILIES.values()]
+        assert "tokens: " + ", ".join(tokens) in help_text
+        for family, entry in _FAMILIES.items():
+            token = ":".join([entry.token, *map(str, small[family])])
+            spec = FamilySpec(family, small[family])
+            assert FamilySpec.parse(token) == spec
+            code, doc, _ = run_json(capsys, "sol", "--family", token, "--order", "1")
+            assert code == 0
+            assert doc["params"]["group"] == spec.name(), token
 
 
 class TestUsageErrors:
