@@ -88,6 +88,14 @@ def _powers_set(G: PermGroup, t: Tup) -> frozenset:
     return s
 
 
+def _cyclic_generators(t: Tup) -> list[Tup]:
+    """The generators of <t>: the powers t^k with k coprime to |t|, t among
+    them.  There are phi(|t|) of them, and each generates the same <t>."""
+    powers = _cyclic_tuples(t)
+    order = len(powers)
+    return [powers[k] for k in range(order) if gcd(k, order) == 1]
+
+
 def _pair_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
     """Whether the subgroup H of G generated by two elements is soluble.
 
@@ -179,9 +187,7 @@ def _orbit_scan(G: PermGroup, x: Permutation, elements: ElementSet, cap: int) ->
             images = [_mul(xt, y), _mul(y, xt)]
             images.extend(_conj(y, n) for n in n_gens)
             if y not in generators_done:
-                powers = _cyclic_tuples(y)
-                order = len(powers)
-                same = [powers[k] for k in range(1, order) if gcd(k, order) == 1]
+                same = _cyclic_generators(y)
                 generators_done.update(same)
                 images.extend(same)
             for z in images:
@@ -263,7 +269,8 @@ def sol_record(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> Solubili
         ell_nx=ell_nx,
         conjecture_ok=size % nx_order == 0,
         ratio34=Fraction(cx_order * ell_cx, nx_order),
-        is_subgroup=_subgroup_gens(G.degree, sol.raw()) is not None,
+        # a subset of G with |G| members is G
+        is_subgroup=size == G.order() or _subgroup_gens(G.degree, sol.raw()) is not None,
         equals_nx=size == nx_order,
     )
     table[x._img] = record
@@ -297,37 +304,70 @@ def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
     return radical
 
 
-def _check_invariant(H: PermGroup, Y: ElementSet) -> None:
-    if H.degree != Y.degree:
-        raise NotInvariantSet("acting group and set have different degrees")
+def _generator_classes(Y: ElementSet) -> list[tuple[Tup, int]] | None:
+    """(t, phi(|t|)) for the least member t of each class of members that
+    generate the same cyclic group, or None if Y is not closed under
+    coprime powers."""
     members = Y.raw_set()
-    for h in H.generators:
-        ht = h._img
-        for y in members:
-            if _conj(y, ht) not in members:
-                raise NotInvariantSet(
-                    "set is not closed under conjugation by the acting group"
-                )
+    done: set[Tup] = set()
+    classes: list[tuple[Tup, int]] = []
+    for t in Y.raw():
+        if t in done:
+            continue
+        same = _cyclic_generators(t)
+        if not members.issuperset(same):
+            return None
+        done.update(same)
+        classes.append((t, len(same)))
+    return classes
 
 
 def orbit_count(H: PermGroup, Y: ElementSet) -> int:
-    """Number of orbits of H acting on Y by conjugation (direct partition)."""
+    """Number of orbits of H acting on Y by conjugation (direct partition).
+
+    Memoized in H's cache, keyed by Y's members; a call that raises stores
+    nothing.
+    """
     if H.degree != Y.degree:
         raise NotInvariantSet("acting group and set have different degrees")
-    orbits = _conjugation_orbits([h._img for h in H.generators], Y)
-    if orbits is None:
-        raise NotInvariantSet("set is not closed under conjugation by the acting group")
-    return len(orbits)
+    table = H._cache.setdefault("orbit_count", {})
+    key = Y.raw_set()
+    count = table.get(key)
+    if count is None:
+        orbits = _conjugation_orbits([h._img for h in H.generators], Y)
+        if orbits is None:
+            raise NotInvariantSet("set is not closed under conjugation by the acting group")
+        count = table[key] = len(orbits)
+    return count
 
 
 def burnside_orbit_count(H: PermGroup, Y: ElementSet, cap: int = DEFAULT_CAP) -> int:
-    """Same count via the averaged fixed-point sum over all of H."""
-    _check_invariant(H, Y)
-    members = Y.raw()
+    """Same count via the averaged fixed-point sum over H, summed by cyclic
+    subgroups.
+
+    Burnside: the orbits number (1/|H|) * sum over h in H of the y in Y
+    that commute with h.  Every generator h^k of <h> (k coprime to |h|)
+    commutes with exactly the y that h commutes with, so the sum takes one
+    generator per cyclic subgroup of H, weighted by phi(|h|).  When Y is
+    closed under coprime powers, as every solubilizer is (<x, y^k> = <x, y>),
+    y^k commutes with exactly the h that y commutes with, so the Y side is
+    reduced the same way, and one member per class decides invariance,
+    since (y^k)^h = (y^h)^k; otherwise every y is summed and checked.  The
+    count never uses the orbit partition, so it checks orbit_count.
+    """
+    if H.degree != Y.degree:
+        raise NotInvariantSet("acting group and set have different degrees")
+    y_classes = _generator_classes(Y)
+    if y_classes is None:
+        y_classes = [(y, 1) for y in Y.raw()]
+    members = Y.raw_set()
+    for h in H.generators:
+        if any(_conj(y, h._img) not in members for y, _ in y_classes):
+            raise NotInvariantSet("set is not closed under conjugation by the acting group")
     total = 0
-    for h in enumerate_elements(H, cap).raw():
+    for h, h_weight in _generator_classes(enumerate_elements(H, cap)):
         # y is fixed by conjugation with h iff y and h commute
-        total += sum(1 for y in members if _commutes(h, y))
+        total += h_weight * sum(w for y, w in y_classes if _commutes(h, y))
     order = H.order()
     if total % order != 0:
         raise BurnsideNonIntegral(
@@ -368,23 +408,29 @@ def _chain_between(
     return sol, c_x, n_x
 
 
-def _nx_orbit_reps(n_x: PermGroup, H: PermGroup, cap: int) -> list[Permutation]:
+def _nx_orbit_reps(n_x: PermGroup, H: PermGroup, cap: int) -> tuple[Permutation, ...]:
     """Orbit representatives of n_x conjugating H minus the identity.
 
     H is normal in n_x (the quotient of n_x by the centralizer is abelian,
     and H sits between them), so the orbits partition H minus the identity.
     Each representative is the canonically least member of its orbit and the
-    list is sorted, which keeps downstream sums deterministic.
+    tuple is sorted, which keeps downstream sums deterministic.  Memoized in
+    n_x's cache, keyed by H's members; a call that raises stores nothing.
     """
-    orbits = _conjugation_orbits(
-        [h._img for h in n_x.generators], enumerate_elements(H, cap)
-    )
-    if orbits is None:
-        raise SubgroupChainViolated(
-            "H is not invariant under conjugation by the cyclic normalizer"
-        )
-    # the identity is the least element, so its one-point orbit leads
-    return [Permutation._from_tuple(orbit[0]) for orbit in orbits[1:]]
+    elements = enumerate_elements(H, cap)
+    table = n_x._cache.setdefault("nx_orbit_reps", {})
+    key = elements.raw_set()
+    reps = table.get(key)
+    if reps is None:
+        orbits = _conjugation_orbits([h._img for h in n_x.generators], elements)
+        if orbits is None:
+            raise SubgroupChainViolated(
+                "H is not invariant under conjugation by the cyclic normalizer"
+            )
+        # the identity is the least element, so its one-point orbit leads
+        reps = tuple(Permutation._from_tuple(orbit[0]) for orbit in orbits[1:])
+        table[key] = reps
+    return reps
 
 
 def lemma32_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT_CAP) -> int:

@@ -11,10 +11,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
@@ -39,12 +40,14 @@ from solvlab.group import (
     ElementSet,
     PermGroup,
     StabilizerChain,
+    _conjugation_orbits,
+    _subgroup_gens,
     conjugacy_class_reps,
     enumerate_elements,
     first_element_of_order,
     structure_tag,
 )
-from solvlab.perm import Permutation
+from solvlab.perm import Permutation, _conj
 from solvlab.solubilizer import (
     _nx_orbit_reps,
     _pair_soluble,
@@ -64,7 +67,7 @@ from solvlab.solubilizer import (
     soluble_radical,
 )
 
-from conftest import brute_center
+from conftest import brute_burnside_count, brute_center
 
 
 def records_of(G):
@@ -537,8 +540,11 @@ class TestCountingIdentities:
         not_invariant = ElementSet(
             a5.degree, (p._img for p in [Permutation.identity(a5.degree), y])
         )
-        with pytest.raises(NotInvariantSet):
-            orbit_count(H, not_invariant)
+        # a call that raised stored nothing, so the repeat raises too
+        for _ in range(2):
+            with pytest.raises(NotInvariantSet):
+                orbit_count(H, not_invariant)
+        assert H._cache["orbit_count"] == {}
 
     def test_ratio34_equals_record(self, a5, psl2_7):
         # Burnside counts the centralizer orbits independently of the record
@@ -567,8 +573,106 @@ class TestCountingIdentities:
         x = first_element_of_order(a5, 5)
         n_x = sol_record(a5, x).n_x  # D_10
         involution = next(h for h in enumerate_elements(n_x) if h.order() == 2)
-        with pytest.raises(SubgroupChainViolated):
-            _nx_orbit_reps(n_x, PermGroup(a5.degree, [involution]), 60)
+        # a call that raised stored nothing, so the repeat raises too
+        for _ in range(2):
+            with pytest.raises(SubgroupChainViolated):
+                _nx_orbit_reps(n_x, PermGroup(a5.degree, [involution]), 60)
+
+
+def closed_under_coprime_powers(Y):
+    return all(
+        (y ** k) in Y for y in Y for k in range(1, y.order()) if gcd(k, y.order()) == 1
+    )
+
+
+class TestBurnsideAgainstBruteForce:
+    """burnside_orbit_count sums over cyclic subgroups of H, and of Y when Y is
+    closed under coprime powers; brute_burnside_count (conftest) sums over
+    every h in H and every y in Y."""
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("alternating", (5,)),
+            ("symmetric", (5,)),
+            ("psl2", (7,)),
+            ("sl2", (5,)),
+            ("symmetric", (4,)),
+            ("agl1", (11,)),
+        ],
+    )
+    def test_records_of_every_class(self, family, params):
+        for record in records_of(fresh(family, *params)):
+            assert closed_under_coprime_powers(record.sol)
+            for H in (record.c_x, record.n_x):
+                assert burnside_orbit_count(H, record.sol) == brute_burnside_count(
+                    H, record.sol
+                )
+
+    @given(
+        st.sampled_from([5, 6]).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(1, n + 1)),
+                st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4),
+            )
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_invariant_sets_not_closed_under_coprime_powers(self, drawn):
+        # a union of H-conjugation orbits is H-invariant; one that misses a
+        # coprime power of a member takes the member-by-member sum
+        h, seeds = drawn
+        H = PermGroup(len(h), [Permutation(h)])
+        Y = ElementSet(
+            len(h),
+            (_conj(Permutation(y)._img, g) for y in seeds for g in enumerate_elements(H).raw()),
+        )
+        assume(not closed_under_coprime_powers(Y))
+        assert burnside_orbit_count(H, Y) == brute_burnside_count(H, Y)
+
+    def test_non_invariant_sets_raise(self, a5):
+        x = first_element_of_order(a5, 3)
+        y = first_element_of_order(a5, 5)
+        H = PermGroup(a5.degree, [x])
+        # <y> is closed under coprime powers; {1, y} is not.  Neither is
+        # invariant: a 3-cycle does not normalize a subgroup of order 5 in A5.
+        closed = enumerate_elements(PermGroup(a5.degree, [y]))
+        not_closed = ElementSet(a5.degree, [Permutation.identity(5)._img, y._img])
+        assert closed_under_coprime_powers(closed)
+        assert not closed_under_coprime_powers(not_closed)
+        for Y in (closed, not_closed):
+            with pytest.raises(NotInvariantSet):
+                burnside_orbit_count(H, Y)
+
+
+class TestOrbitMemos:
+    def test_orbit_count_memo_matches_a_fresh_partition(self):
+        for G in (fresh("alternating", 5), fresh("symmetric", 4)):
+            for record in records_of(G):
+                for H in (record.c_x, record.n_x):
+                    copy = PermGroup(H.degree, H.generators)
+                    orbits = _conjugation_orbits([g._img for g in copy.generators], record.sol)
+                    assert record.sol.raw_set() in H._cache["orbit_count"]
+                    assert orbit_count(H, record.sol) == len(orbits)
+
+    def test_nx_orbit_reps_memo_matches_a_fresh_copy(self, a5):
+        for record in records_of(a5):
+            for H in (record.c_x, record.n_x):
+                copy = PermGroup(record.n_x.degree, record.n_x.generators)
+                reps = _nx_orbit_reps(record.n_x, H, 60)
+                assert _nx_orbit_reps(record.n_x, H, 60) is reps
+                assert reps == _nx_orbit_reps(copy, H, 60)
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("alternating", (5,)), ("symmetric", (5,)), ("sl2", (5,)), ("symmetric", (4,))],
+    )
+    def test_is_subgroup_agrees_with_the_closure_test(self, family, params):
+        # the closure test is the oracle for the shortcut |sol| = |G|
+        G = fresh(family, *params)
+        for record in records_of(G):
+            expected = _subgroup_gens(G.degree, record.sol.raw()) is not None
+            assert record.is_subgroup == expected
 
 
 class TestSolubleRadical:
