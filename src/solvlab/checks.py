@@ -13,7 +13,6 @@ reassembled in catalog order so reports do not depend on scheduling.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .cycles import format_cycles
@@ -250,6 +249,9 @@ def run_catalog_checks(
     all_items = []
     all_counterexamples = []
     if jobs > 1:
+        # only a parallel sweep pays for loading the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # largest groups first, so that no long task starts last and runs alone
         by_size = sorted(range(len(tasks)), key=lambda i: -specs[i].order())
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -12,7 +12,7 @@ unitary, Suzuki and sporadic rows are arithmetic-only here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidParameter, NotConstructible
 from .families import FamilySpec, make_family
@@ -48,10 +48,9 @@ _SPORADIC_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class ClassifierRow:
-    """One enumerated family member and its semiprime maximal subgroup."""
-
+# The fields of ClassifierRow, which checks them in __new__: a NamedTuple
+# class body may not define __new__ itself.
+class _RowFields(NamedTuple):
     family: str
     parameters: tuple[int, ...]
     q_prime: int
@@ -60,14 +59,24 @@ class ClassifierRow:
     in_theorem44: bool
     discrepancy: str | None = None
 
-    def __post_init__(self):
-        p, q = self.p_prime, self.q_prime
+
+class ClassifierRow(_RowFields):
+    """One enumerated family member and its semiprime maximal subgroup.
+
+    The prime conditions are checked whenever a row is constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        row = super().__new__(cls, *args, **kwargs)
+        p, q = row.p_prime, row.q_prime
         if not (is_prime(q) and is_prime(p)):
             raise InvalidParameter(f"p = {p} and q = {q} must be primes")
         if p > q:
             raise InvalidParameter(f"p = {p} exceeds q = {q}")
-        if self.in_theorem44 and (q - 1) % p != 0:
+        if row.in_theorem44 and (q - 1) % p != 0:
             raise InvalidParameter(f"a Theorem 4.4 row needs p = {p} dividing q - 1")
+        return row
 
     def label(self) -> str:
         if self.family in ("m23", "baby_monster", "monster"):
@@ -176,14 +185,13 @@ def theorem44_enumerate(max_r: int, max_d: int, max_q: int) -> list[ClassifierRo
     return [row for row in table2_enumerate(max_r, max_d, max_q) if row.in_theorem44]
 
 
-@dataclass(frozen=True)
-class CrossValidation:
+class CrossValidation(NamedTuple):
     """Outcome of checking one row against the permutation engine."""
 
     row: ClassifierRow
     status: str  # "passed", "failed" or "skipped"
     reason: str | None
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def _construct(row: ClassifierRow, cap: int) -> PermGroup:
@@ -226,7 +234,7 @@ def cross_validate(row: ClassifierRow, cap: int = DEFAULT_CAP) -> CrossValidatio
     x = first_element_of_order(group, row.q_prime, cap)
     if x is None:
         return CrossValidation(
-            row, "failed", f"no element of order {row.q_prime} in {row.label()}"
+            row, "failed", f"no element of order {row.q_prime} in {row.label()}", {}
         )
     record = sol_record(group, x, cap)
     pq = row.p_prime * row.q_prime

@@ -24,8 +24,7 @@ cannot slip through silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cycles import format_cycles, parse_cycles
 from .errors import CycleSyntaxError, FormatError, InvalidParameter
@@ -35,8 +34,7 @@ from .numtheory import is_prime, is_prime_power, least_primitive_root
 from .perm import Permutation
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A family name plus its integer parameters."""
 
     family: str
@@ -199,8 +197,7 @@ def _frobenius_pq_check(p: int, q: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """A family; `check` returns the message of a failed requirement, or None."""
 
     token: str
@@ -256,14 +253,14 @@ def make_family(spec: FamilySpec) -> PermGroup:
     return group
 
 
-@dataclass
 class CatalogEntry:
     """A named group ready for verification sweeps."""
 
-    name: str
-    group: PermGroup
-    soluble: bool
-    source: FamilySpec | str
+    def __init__(self, name: str, group: PermGroup, soluble: bool, source: FamilySpec | str):
+        self.name = name
+        self.group = group
+        self.soluble = soluble
+        self.source = source
 
     @classmethod
     def from_spec(cls, spec: FamilySpec) -> "CatalogEntry":

@@ -231,14 +231,18 @@ def _generated_order(degree: int, gens: Sequence[Tup], target: int) -> int:
 
 
 class ElementSet:
-    """An immutable set of same-degree permutations with a stable sorted order."""
+    """An immutable set of same-degree permutations with a stable sorted order.
 
-    __slots__ = ("degree", "_tuples", "_set")
+    _generator_classes holds solubilizer._generator_classes of the set once
+    it has been computed, and None before."""
+
+    __slots__ = ("degree", "_tuples", "_set", "_generator_classes")
 
     def __init__(self, degree: int, raw: Iterable[Tup]):
         self.degree = degree
         self._tuples: tuple[Tup, ...] = tuple(sorted(set(raw)))
         self._set = frozenset(self._tuples)
+        self._generator_classes: tuple[tuple[Tup, int], ...] | None = None
 
     def raw(self) -> tuple[Tup, ...]:
         """The member image tuples in canonical (lexicographic) order."""
@@ -620,7 +624,8 @@ def quotient_by_normal(
 
     The coset of the identity is point 1; remaining cosets are numbered by
     the canonical order of their least members.  Memoized per group, keyed
-    by the element set of N, so the quotient and its own memos are reused.
+    by the element set of N, so the quotient and its own memos are reused;
+    the projection keeps the image of each member it has computed.
     """
     if not is_normal(G, N):
         raise NotNormal("N is not normal in G")
@@ -641,9 +646,13 @@ def quotient_by_normal(
         for n in n_members:
             coset_of[_mul(n, t)] = idx
     index = len(reps)
+    images: dict[Tup, Tup] = {}
 
     def project(t: Tup) -> Tup:
-        return tuple(coset_of[_mul(r, t)] for r in reps)
+        image = images.get(t)
+        if image is None:
+            image = images[t] = tuple(coset_of[_mul(r, t)] for r in reps)
+        return image
 
     quotient = PermGroup._from_raw(index, [project(g._img) for g in G.generators])
     if quotient.order() * N.order() != G.order():

@@ -11,20 +11,25 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 
 REPORT_VERSION = "0.1.0"
 
 
-@dataclass
 class VerificationReport:
-    command: str
-    params: dict
-    items: list[dict] = field(default_factory=list)
-    counterexamples: list[dict] = field(default_factory=list)
-    checked: int = 0
-    failed: int = 0
-    skipped: int = 0
+    def __init__(
+        self,
+        command: str,
+        params: dict,
+        items: list[dict] | None = None,
+        counterexamples: list[dict] | None = None,
+    ):
+        self.command = command
+        self.params = params
+        self.items = [] if items is None else items
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.checked = 0
+        self.failed = 0
+        self.skipped = 0
 
     def tally(self, verdict) -> None:
         """Count one check instance: True/False checked, 'skipped' skipped."""

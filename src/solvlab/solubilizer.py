@@ -19,9 +19,9 @@ point anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     BurnsideNonIntegral,
@@ -215,8 +215,7 @@ def sol_set_exhaustive(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> 
     )
 
 
-@dataclass(frozen=True)
-class SolubilizerRecord:
+class SolubilizerRecord(NamedTuple):
     """Per-element summary joining the solubilizer with its acting subgroups.
 
     ell_cx and ell_nx are the conjugation-orbit counts of the centralizer
@@ -304,22 +303,26 @@ def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
     return radical
 
 
-def _generator_classes(Y: ElementSet) -> list[tuple[Tup, int]] | None:
-    """(t, phi(|t|)) for the least member t of each class of members that
-    generate the same cyclic group, or None if Y is not closed under
-    coprime powers."""
-    members = Y.raw_set()
-    done: set[Tup] = set()
-    classes: list[tuple[Tup, int]] = []
-    for t in Y.raw():
-        if t in done:
-            continue
-        same = _cyclic_generators(t)
-        if not members.issuperset(same):
-            return None
-        done.update(same)
-        classes.append((t, len(same)))
-    return classes
+def _generator_classes(Y: ElementSet) -> tuple[tuple[Tup, int], ...]:
+    """Weighted members that stand for Y in a sum over its cyclic subgroups:
+    (t, phi(|t|)) for the least member t of each class of members that
+    generate the same cyclic group, or (t, 1) for every member t if Y is not
+    closed under coprime powers.  Computed once per set and kept on it."""
+    if Y._generator_classes is None:
+        members = Y.raw_set()
+        done: set[Tup] = set()
+        classes: list[tuple[Tup, int]] = []
+        for t in Y.raw():
+            if t in done:
+                continue
+            same = _cyclic_generators(t)
+            if not members.issuperset(same):
+                classes = [(y, 1) for y in Y.raw()]
+                break
+            done.update(same)
+            classes.append((t, len(same)))
+        Y._generator_classes = tuple(classes)
+    return Y._generator_classes
 
 
 def orbit_count(H: PermGroup, Y: ElementSet) -> int:
@@ -358,8 +361,6 @@ def burnside_orbit_count(H: PermGroup, Y: ElementSet, cap: int = DEFAULT_CAP) ->
     if H.degree != Y.degree:
         raise NotInvariantSet("acting group and set have different degrees")
     y_classes = _generator_classes(Y)
-    if y_classes is None:
-        y_classes = [(y, 1) for y in Y.raw()]
     members = Y.raw_set()
     for h in H.generators:
         if any(_conj(y, h._img) not in members for y, _ in y_classes):
@@ -377,19 +378,27 @@ def burnside_orbit_count(H: PermGroup, Y: ElementSet, cap: int = DEFAULT_CAP) ->
 
 
 def n_value(G: PermGroup, g: Permutation, x: Permutation, cap: int = DEFAULT_CAP) -> Fraction:
-    """The reduced rational |sol restricted to C_G(g)| / |N_x meet C_G(g)|."""
-    if x not in G:
-        raise NotInGroup(f"{x!r} is not an element of {G!r}")
-    n_x = normalizer_of_cyclic(G, x, cap)
-    if g not in n_x:
-        raise NotInGroup("the weighting element must normalize the cyclic group of x")
-    cg = centralizer(G, g, cap)
-    cg_elements = enumerate_elements(cg, cap).raw()
-    sol_members = sol_set(G, x, cap).raw_set()
-    numerator = sum(1 for t in cg_elements if t in sol_members)
-    nx_members = enumerate_elements(n_x, cap).raw_set()
-    denominator = sum(1 for t in cg_elements if t in nx_members)
-    return Fraction(numerator, denominator)
+    """The reduced rational |sol restricted to C_G(g)| / |N_x meet C_G(g)|.
+
+    Memoized in G's cache, keyed by (g, x); a call that raises stores nothing.
+    """
+    table = G._cache.setdefault("n_value", {})
+    key = (g._img, x._img)
+    value = table.get(key)
+    if value is None:
+        if x not in G:
+            raise NotInGroup(f"{x!r} is not an element of {G!r}")
+        n_x = normalizer_of_cyclic(G, x, cap)
+        if g not in n_x:
+            raise NotInGroup("the weighting element must normalize the cyclic group of x")
+        cg = centralizer(G, g, cap)
+        cg_elements = enumerate_elements(cg, cap).raw()
+        sol_members = sol_set(G, x, cap).raw_set()
+        numerator = sum(1 for t in cg_elements if t in sol_members)
+        nx_members = enumerate_elements(n_x, cap).raw_set()
+        denominator = sum(1 for t in cg_elements if t in nx_members)
+        value = table[key] = Fraction(numerator, denominator)
+    return value
 
 
 def _chain_between(
@@ -481,8 +490,7 @@ def eq1_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT_CAP
     return ell_h - G.order() // h_order - (n_x.order() // h_order) * index_sum
 
 
-@dataclass(frozen=True)
-class FrobeniusFinding:
+class FrobeniusFinding(NamedTuple):
     """Whether the cyclic normalizer is Frobenius over the centralizer."""
 
     is_frobenius_over_cx: bool
@@ -569,8 +577,7 @@ def quotient_sol_check(G: PermGroup, N: PermGroup, x: Permutation, cap: int = DE
     return image == sol_in_quotient and len(sol) % N.order() == 0
 
 
-@dataclass(frozen=True)
-class PqFinding:
+class PqFinding(NamedTuple):
     """One semiprime-solubilizer instance found by pq_scan."""
 
     x: Permutation

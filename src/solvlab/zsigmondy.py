@@ -13,7 +13,7 @@ q + 1 but not q - 1.  The classical lemmas are only asserted for d >= 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EngineInvariantViolated, InvalidBase, InvalidParameter
 from .numtheory import factorize, is_prime_power, multiplicative_order
@@ -56,8 +56,7 @@ def _cyclotomic_value(d: int, q: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ZsigmondyResult:
+class ZsigmondyResult(NamedTuple):
     """Primitive primes of q^d - 1 and the matching part of its factorization.
 
     primitive_part is the largest divisor of q^d - 1 all of whose prime

@@ -4,6 +4,7 @@ import pytest
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
+from solvlab import families
 from solvlab.errors import FormatError, InvalidParameter
 from solvlab.families import (
     CatalogEntry,
@@ -61,6 +62,15 @@ class TestFamilySpecs:
         ]
         for spec, expected in cases:
             assert spec.name() == expected
+
+    def test_order_mismatch_names_the_spec(self, monkeypatch):
+        entry = families._FAMILIES["cyclic"]
+        monkeypatch.setitem(families._FAMILIES, "cyclic", entry._replace(order=lambda n: n + 1))
+        with pytest.raises(InvalidParameter) as raised:
+            make_family(FamilySpec("cyclic", (5,)))
+        assert str(raised.value) == (
+            "constructed order 5 != expected 6 for FamilySpec(family='cyclic', params=(5,))"
+        )
 
 
 class TestCatalog:

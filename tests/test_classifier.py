@@ -8,6 +8,7 @@ import sympy
 
 from solvlab.errors import InvalidBase, InvalidParameter
 from solvlab.classify import (
+    ClassifierRow,
     cross_validate,
     table2_enumerate,
     theorem44_enumerate,
@@ -152,3 +153,11 @@ class TestCrossValidation:
         assert "no permutation constructor" in result.reason
         # the stated number-theoretic conditions are rechecked even so
         assert result.details["arithmetic_ok"] is True
+
+    def test_each_outcome_has_its_own_details(self):
+        # PSL(2,4) = A5 has no element of order 7, so the row fails at once
+        row = ClassifierRow("psl2_fermat", (4,), 7, 2, "D_14", False)
+        first, second = cross_validate(row), cross_validate(row)
+        assert first.status == "failed" and first.details == {}
+        first.details["seen"] = True
+        assert second.details == {}

@@ -1,9 +1,14 @@
 """End-to-end runs of the solv-lab command line through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import solvlab
 from solvlab import families, solubilizer
 from solvlab.cli import main
 from solvlab.families import _FAMILIES, CatalogEntry, FamilySpec, save_group_file
@@ -335,3 +340,28 @@ class TestZsigmondyCommand:
         code, _, err = run(capsys, "zsigmondy", "6", "3")
         assert code == 1
         assert "not a prime power" in err
+
+
+
+class TestStartup:
+    def test_cli_import_loads_no_process_pool_or_dataclasses(self):
+        # verify --jobs 2 imports the pool when it needs it
+        # (TestDeterminism.test_jobs_do_not_change_bytes runs that path)
+        src = str(Path(solvlab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import solvlab.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = result.stdout.split()
+        assert "solvlab.checks" in loaded and "solvlab.report" in loaded
+        assert "solvlab.classify" in loaded
+        for module in ("concurrent.futures", "dataclasses", "inspect"):
+            assert module not in loaded

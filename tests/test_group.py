@@ -33,6 +33,7 @@ from solvlab.group import (
     structure_tag,
 )
 from solvlab.perm import Permutation, _inv, _mul
+from solvlab.solubilizer import soluble_radical
 
 from conftest import brute_center, brute_point_stabilizer
 
@@ -463,6 +464,29 @@ class TestQuotient:
         assert StabilizerChain(quotient.degree, derived).order() == 60
         x = sl2_5.generators[0]
         assert Permutation._from_tuple(proj(x._img)) in quotient
+
+    @pytest.mark.parametrize("case", ["sl2_5 by its radical", "s4 by v4"])
+    def test_memoized_projection_matches_the_coset_action(self, case):
+        if case == "s4 by v4":
+            G = CatalogEntry.from_spec(FamilySpec("symmetric", (4,))).group
+            N = PermGroup(4, [parse_cycles("(1,2)(3,4)", 4), parse_cycles("(1,3)(2,4)", 4)])
+        else:
+            G = CatalogEntry.from_spec(FamilySpec("sl2", (5,))).group
+            N = soluble_radical(G)
+        members = enumerate_elements(G).raw()
+        _, proj = quotient_by_normal(G, N)
+        first = {t: proj(t) for t in members}
+        # the right cosets N r, numbered by the canonical order of their least
+        # members; t sends the coset C to the coset {c t : c in C}
+        n_members = enumerate_elements(N).raw()
+        cosets = sorted(
+            {frozenset(_mul(n, t) for n in n_members) for t in members}, key=min
+        )
+        number = {coset: i for i, coset in enumerate(cosets)}
+        for t in members:
+            image = tuple(number[frozenset(_mul(c, t) for c in coset)] for coset in cosets)
+            assert proj(t) is first[t]
+            assert first[t] == image
 
     def test_quotient_requires_normal(self, s4):
         s3 = PermGroup(4, [parse_cycles("(1,2,3)", 4), parse_cycles("(1,2)", 4)])

@@ -49,6 +49,7 @@ from solvlab.group import (
 )
 from solvlab.perm import Permutation, _conj
 from solvlab.solubilizer import (
+    _generator_classes,
     _nx_orbit_reps,
     _pair_soluble,
     _pair_soluble_chain,
@@ -560,8 +561,10 @@ class TestCountingIdentities:
         assert n_value(a5, idn, x) == 1
         assert n_value(a5, x, x) == 1
         outsider = first_element_of_order(a5, 3)
-        with pytest.raises(NotInGroup):
-            n_value(a5, outsider, x)
+        for _ in range(2):
+            with pytest.raises(NotInGroup):
+                n_value(a5, outsider, x)
+        assert (outsider._img, x._img) not in a5._cache["n_value"]
 
     def test_lemma32_rejects_wrong_subgroup_chain(self, a5):
         x = first_element_of_order(a5, 5)
@@ -608,6 +611,11 @@ class TestBurnsideAgainstBruteForce:
                 assert burnside_orbit_count(H, record.sol) == brute_burnside_count(
                     H, record.sol
                 )
+            # the weighted members kept on each set match a fresh copy's
+            for Y in (record.sol, enumerate_elements(record.c_x), enumerate_elements(record.n_x)):
+                kept = Y._generator_classes
+                assert kept is not None and _generator_classes(Y) is kept
+                assert kept == _generator_classes(ElementSet(Y.degree, Y.raw()))
 
     @given(
         st.sampled_from([5, 6]).flatmap(
@@ -629,6 +637,7 @@ class TestBurnsideAgainstBruteForce:
         )
         assume(not closed_under_coprime_powers(Y))
         assert burnside_orbit_count(H, Y) == brute_burnside_count(H, Y)
+        assert Y._generator_classes == tuple((y, 1) for y in Y.raw())
 
     def test_non_invariant_sets_raise(self, a5):
         x = first_element_of_order(a5, 3)
@@ -662,6 +671,16 @@ class TestOrbitMemos:
                 reps = _nx_orbit_reps(record.n_x, H, 60)
                 assert _nx_orbit_reps(record.n_x, H, 60) is reps
                 assert reps == _nx_orbit_reps(copy, H, 60)
+
+    def test_n_value_memo_matches_a_fresh_copy(self):
+        for G in (fresh("alternating", 5), fresh("symmetric", 4)):
+            copy = PermGroup(G.degree, G.generators)
+            for record in records_of(G):
+                for g in enumerate_elements(record.n_x):
+                    value = n_value(G, g, record.x)
+                    assert G._cache["n_value"][(g._img, record.x._img)] is value
+                    assert n_value(G, g, record.x) is value
+                    assert value == n_value(copy, g, record.x)
 
     @pytest.mark.parametrize(
         "family,params",
