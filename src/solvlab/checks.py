@@ -52,6 +52,12 @@ CHECK_TOKENS = (
 )
 
 
+# A counterexample entry: the failed flag's name and these fields of its item.
+_COUNTEREXAMPLE_KEYS = (
+    "group", "element", "check", "sol_size", "nx_order", "cx_order", "ell_cx", "ell_nx", "ratio34",
+)
+
+
 def _ratio_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -164,19 +170,8 @@ def run_entry_checks(entry: CatalogEntry, checks: tuple[str, ...], cap: int = DE
 
         for name, verdict in flags.items():
             if verdict is False:
-                counterexamples.append(
-                    {
-                        "group": entry.name,
-                        "element": item["element"],
-                        "check": name,
-                        "sol_size": record.sol_size,
-                        "nx_order": record.n_x.order(),
-                        "cx_order": record.c_x.order(),
-                        "ell_cx": record.ell_cx,
-                        "ell_nx": record.ell_nx,
-                        "ratio34": item["ratio34"],
-                    }
-                )
+                fields = dict(item, check=name)
+                counterexamples.append({key: fields[key] for key in _COUNTEREXAMPLE_KEYS})
         items.append(item)
     return items, counterexamples
 
@@ -234,6 +229,7 @@ def _spec_task(args):
     spec, checks, cap = args
     entry = CatalogEntry.from_spec(spec)
     items, counterexamples = run_entry_checks(entry, checks, cap)
+    entry.group._cache.clear()  # G's cache may hold G: break the cycle, free both now
     return items, counterexamples
 
 

@@ -304,8 +304,8 @@ class PermGroup:
 
     Instances are immutable after construction; the private cache only holds
     results of pure computations (element lists, class data, solubility,
-    centralizers and cyclic normalizers of members, quotients, and the
-    solubilizer sets, records and pair verdicts of members).
+    the centralizers, cyclic normalizers, solubilizers, records and pair
+    verdicts of members, quotients), and may hold G itself (see _subgroup_of).
     """
 
     __slots__ = ("degree", "generators", "_chain", "_cache")
@@ -363,6 +363,12 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
+
+
+def _subgroup_of(G: PermGroup, members: list[Tup]) -> PermGroup:
+    """The subgroup of G with the given members, which must be distinct
+    members of G closed under products: G itself when they number |G|."""
+    return G if len(members) == G.order() else PermGroup.from_elements(G.degree, members)
 
 
 def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:
@@ -471,15 +477,13 @@ def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGro
     table = G._cache.setdefault("centralizer", {})
     found = table.get(xt)
     if found is None:
-        members = [t for t in elements.raw() if _commutes(t, xt)]
-        found = PermGroup.from_elements(G.degree, members)
-        table[xt] = found
+        found = table[xt] = _subgroup_of(G, [t for t in elements.raw() if _commutes(t, xt)])
     return found
 
 
 def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
     """N_G(<x>), elements g with x^g a power of x, by exhaustive filtration;
-    memoized per group."""
+    memoized per group, and C_G(x)'s object when every member commutes with x."""
     if x not in G:
         raise NotInGroup("x is not a member of G")
     elements = enumerate_elements(G, cap)
@@ -489,8 +493,8 @@ def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -
     if found is None:
         powers = set(_cyclic_tuples(xt))
         members = [t for t in elements.raw() if _conj(xt, t) in powers]
-        found = PermGroup.from_elements(G.degree, members)
-        table[xt] = found
+        commuting = all(_commutes(t, xt) for t in members)
+        found = table[xt] = centralizer(G, x, cap) if commuting else _subgroup_of(G, members)
     return found
 
 

@@ -45,6 +45,7 @@ from .group import (
     _derived_gens,
     _soluble_from_gens,
     _subgroup_gens,
+    _subgroup_of,
     centralizer,
     class_of_rep,
     conjugacy_class_reps,
@@ -281,14 +282,14 @@ def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
 
     Scans one representative per conjugacy class (the solubilizer of a
     conjugate is the conjugated solubilizer, so the property is
-    class-constant) and collects whole classes.
+    class-constant) and collects whole classes; for soluble G that is G itself.
     """
     whole = enumerate_elements(G, cap)
     member_tuples: list[Tup] = []
     for rep in conjugacy_class_reps(G, cap):
         if len(sol_set(G, rep, cap)) == len(whole):
             member_tuples.extend(class_of_rep(G, rep, cap).raw())
-    radical = PermGroup.from_elements(G.degree, member_tuples or [_identity(G.degree)])
+    radical = _subgroup_of(G, member_tuples or [_identity(G.degree)])
     if not is_normal(G, radical):
         raise EngineInvariantViolated("the soluble radical must be normal")
     if not is_soluble(radical):
@@ -553,8 +554,7 @@ def lemma_exp_bound(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> tup
         meet = len(x_powers & conj_powers)
         ell = min(ell, x_order // meet)
     sol = sol_set(G, x, cap)
-    n_x_set = ElementSet(G.degree, nx_members)
-    ok = (sol == n_x_set) or (len(sol) > ell * x_order)
+    ok = (sol == enumerate_elements(n_x, cap)) or (len(sol) > ell * x_order)
     return ell, ok
 
 

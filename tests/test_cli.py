@@ -1,5 +1,6 @@
 """End-to-end runs of the solv-lab command line through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -274,6 +275,27 @@ class TestDeterminism:
         _, serial, _ = run(capsys, *base)
         _, parallel, _ = run(capsys, *base, "--jobs", "2")
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ("verify", "--max-order", "60", "--format", "json"),
+                "ca12f5a949d9967d0f447d0607dfb791de90b38445a8ab87169ea38f313beccb",
+            ),
+            (
+                ("table1", "--format", "json"),
+                "2755630a50120b1b60f70da905468f315b47d3e1a552b468f4abee44110735fe",
+            ),
+        ],
+        ids=["verify-60", "table1"],
+    )
+    def test_report_bytes_are_frozen(self, capsys, argv, digest):
+        # SHA-256 of the UTF-8 report, recorded at commit 663a38d: engine
+        # changes that only share or reuse work must not move a byte
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestClassify:

@@ -33,7 +33,7 @@ from solvlab.group import (
     structure_tag,
 )
 from solvlab.perm import Permutation, _inv, _mul
-from solvlab.solubilizer import soluble_radical
+from solvlab.solubilizer import sol_record, soluble_radical
 
 from conftest import brute_center, brute_point_stabilizer
 
@@ -355,6 +355,38 @@ class TestSubgroups:
         with pytest.raises(NotInGroup):
             normalizer_of_cyclic(a5, odd)
         assert PermGroup(a5.degree, [parse_cycles("(1,2,3,4,5)", 5)]).order() == 5
+
+
+class TestOneObjectPerSubgroup:
+    # fresh groups: the session fixtures' caches are filled by other tests
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("alternating", (5,)),
+            ("symmetric", (4,)),
+            ("sl2", (5,)),
+            ("cyclic", (12,)),
+            ("dihedral", (12,)),
+        ],
+    )
+    def test_equal_subgroups_are_one_object(self, family, params):
+        G = CatalogEntry.from_spec(FamilySpec(family, params)).group
+        for x in conjugacy_class_reps(G):
+            record = sol_record(G, x)
+            same_order = record.c_x.order() == record.n_x.order()
+            assert (record.c_x is record.n_x) == same_order
+            if x.is_identity():
+                assert record.c_x is G and record.n_x is G
+        members = list(enumerate_elements(G))
+        for x in members:
+            central = all(x * g == g * x for g in members)
+            assert (centralizer(G, x) is G) == central
+        radical = soluble_radical(G)
+        assert (radical is G) == is_soluble(G)
+        if family == "symmetric":
+            assert radical is G
+        if family == "sl2":
+            assert radical.order() == 2
 
 
 class TestDerivedSeriesAndSolubility:
