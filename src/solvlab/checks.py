@@ -244,13 +244,15 @@ def run_catalog_checks(
     tasks = [(spec, checks, cap) for spec in specs]
     all_items = []
     all_counterexamples = []
-    if jobs > 1:
+    # at most one worker per group: the pool starts all of its workers at once
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # only a parallel sweep pays for loading the process pool
         from concurrent.futures import ProcessPoolExecutor
 
         # largest groups first, so that no long task starts last and runs alone
         by_size = sorted(range(len(tasks)), key=lambda i: -specs[i].order())
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {i: pool.submit(_spec_task, tasks[i]) for i in by_size}
             results = [futures[i].result() for i in range(len(tasks))]
     else:

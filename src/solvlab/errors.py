@@ -87,10 +87,6 @@ class NotInvariantSet(SolvLabError):
     """The acted-on set is not closed under the acting group's conjugation."""
 
 
-class BurnsideNonIntegral(SolvLabError):
-    """Fixed-point sum not divisible by the group order; signals an engine bug."""
-
-
 class SubgroupChainViolated(SolvLabError):
     """The subgroup H does not satisfy C_G(x) <= H <= N_G(<x>)."""
 
@@ -101,6 +97,10 @@ class NormalizerIsWholeGroup(SolvLabError):
 
 class EngineInvariantViolated(SolvLabError):
     """A fact that holds for every input failed; signals an engine bug."""
+
+
+class BurnsideNonIntegral(EngineInvariantViolated):
+    """Fixed-point sum not divisible by the group order; signals an engine bug."""
 
 
 class InvalidBase(SolvLabError):

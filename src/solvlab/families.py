@@ -27,7 +27,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .cycles import format_cycles, parse_cycles
-from .errors import CycleSyntaxError, FormatError, InvalidParameter
+from .errors import CycleSyntaxError, EngineInvariantViolated, FormatError, InvalidParameter
 from .fields import GF
 from .group import PermGroup, is_soluble
 from .numtheory import is_prime, is_prime_power, least_primitive_root
@@ -247,7 +247,7 @@ def make_family(spec: FamilySpec) -> PermGroup:
     group = entry.build(*spec.params)
     expected = entry.order(*spec.params)
     if group.order() != expected:
-        raise InvalidParameter(
+        raise EngineInvariantViolated(
             f"constructed order {group.order()} != expected {expected} for {spec}"
         )
     return group

@@ -306,6 +306,11 @@ class PermGroup:
     results of pure computations (element lists, class data, solubility,
     the centralizers, cyclic normalizers, solubilizers, records and pair
     verdicts of members, quotients), and may hold G itself (see _subgroup_of).
+
+    Every cache entry, and every entry of a per-element table in it, is read
+    and written through _memo.  Arguments are validated on a miss only: a key
+    is stored only for arguments that passed, so a hit runs no membership
+    sift.  A cap is checked on every call, before the lookup.
     """
 
     __slots__ = ("degree", "generators", "_chain", "_cache")
@@ -365,6 +370,19 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
+_MISSING = object()
+
+
+def _memo(table: dict, key, compute: Callable):
+    """table[key], computed and stored on the first call; a compute() that
+    raises stores nothing, so the next call validates again.  A group's
+    per-element tables are made by _memo(G._cache, name, dict)."""
+    value = table.get(key, _MISSING)
+    if value is _MISSING:
+        value = table[key] = compute()
+    return value
+
+
 def _subgroup_of(G: PermGroup, members: list[Tup]) -> PermGroup:
     """The subgroup of G with the given members, which must be distinct
     members of G closed under products: G itself when they number |G|."""
@@ -376,24 +394,23 @@ def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:
     order = G.order()
     if order > cap:
         raise OrderExceedsCap(order, cap)
-    cached = G._cache.get("elements")
-    if cached is not None:
-        return cached
-    idn = _identity(G.degree)
-    gens = [g._img for g in G.generators]
-    seen = {idn}
-    queue = [idn]
-    for t in queue:
-        for s in gens:
-            u = _mul(t, s)
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if len(seen) != order:
-        raise NotInGroup("closure size disagrees with chain order (engine bug)")
-    out = ElementSet(G.degree, seen)
-    G._cache["elements"] = out
-    return out
+
+    def closure() -> ElementSet:
+        idn = _identity(G.degree)
+        gens = [g._img for g in G.generators]
+        seen = {idn}
+        queue = [idn]
+        for t in queue:
+            for s in gens:
+                u = _mul(t, s)
+                if u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        if len(seen) != order:
+            raise EngineInvariantViolated("closure size disagrees with chain order")
+        return ElementSet(G.degree, seen)
+
+    return _memo(G._cache, "elements", closure)
 
 
 def _normal_closure_gens(
@@ -450,52 +467,49 @@ def _soluble_from_gens(degree: int, gens: list[Tup]) -> bool:
 
 def is_soluble(G: PermGroup) -> bool:
     """True when the derived series of G reaches the trivial group."""
-    cached = G._cache.get("soluble")
-    if cached is None:
-        cached = _soluble_from_gens(G.degree, [g._img for g in G.generators])
-        G._cache["soluble"] = cached
-    return cached
+    return _memo(
+        G._cache, "soluble", lambda: _soluble_from_gens(G.degree, [g._img for g in G.generators])
+    )
 
 
 def is_abelian(G: PermGroup) -> bool:
-    cached = G._cache.get("abelian")
-    if cached is None:
-        gens = [g._img for g in G.generators]
-        cached = all(
-            _commutes(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]
-        )
-        G._cache["abelian"] = cached
-    return cached
+    gens = [g._img for g in G.generators]
+    pairs = ((a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
+    return _memo(G._cache, "abelian", lambda: all(_commutes(a, b) for a, b in pairs))
 
 
 def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
-    """C_G(x), by exhaustive filtration of the element list; memoized per group."""
-    if x not in G:
-        raise NotInGroup("x is not a member of G")
+    """C_G(x), by exhaustive filtration of the element list."""
     elements = enumerate_elements(G, cap)
     xt = x._img
-    table = G._cache.setdefault("centralizer", {})
-    found = table.get(xt)
-    if found is None:
-        found = table[xt] = _subgroup_of(G, [t for t in elements.raw() if _commutes(t, xt)])
-    return found
+
+    def filtration() -> PermGroup:
+        if x not in G:
+            raise NotInGroup("x is not a member of G")
+        return _subgroup_of(G, [t for t in elements.raw() if _commutes(t, xt)])
+
+    return _memo(_memo(G._cache, "centralizer", dict), xt, filtration)
 
 
 def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
-    """N_G(<x>), elements g with x^g a power of x, by exhaustive filtration;
-    memoized per group, and C_G(x)'s object when every member commutes with x."""
-    if x not in G:
-        raise NotInGroup("x is not a member of G")
+    """N_G(<x>), elements g with x^g a power of x, by exhaustive filtration.
+
+    C_G(x) <= N_G(<x>), so when every member commutes with x the two are one
+    group, and one object is memoized as both (C_G(x)'s, if it is already).
+    """
     elements = enumerate_elements(G, cap)
     xt = x._img
-    table = G._cache.setdefault("normalizer_of_cyclic", {})
-    found = table.get(xt)
-    if found is None:
+
+    def filtration() -> PermGroup:
+        if x not in G:
+            raise NotInGroup("x is not a member of G")
         powers = set(_cyclic_tuples(xt))
         members = [t for t in elements.raw() if _conj(xt, t) in powers]
-        commuting = all(_commutes(t, xt) for t in members)
-        found = table[xt] = centralizer(G, x, cap) if commuting else _subgroup_of(G, members)
-    return found
+        if not all(_commutes(t, xt) for t in members):
+            return _subgroup_of(G, members)
+        return _memo(_memo(G._cache, "centralizer", dict), xt, lambda: _subgroup_of(G, members))
+
+    return _memo(_memo(G._cache, "normalizer_of_cyclic", dict), xt, filtration)
 
 
 def _cyclic_tuples(x: Tup) -> list[Tup]:
@@ -536,16 +550,14 @@ def _conjugation_orbits(gens: list[Tup], members: ElementSet) -> list[list[Tup]]
 
 
 def _class_partition(G: PermGroup, cap: int) -> tuple[list[Tup], dict[Tup, ElementSet]]:
-    cached = G._cache.get("classes")
-    if cached is not None:
-        return cached
     elements = enumerate_elements(G, cap)
-    orbits = _conjugation_orbits([g._img for g in G.generators], elements)
-    classes = {orbit[0]: ElementSet(G.degree, orbit) for orbit in orbits}
-    reps = sorted(classes, key=lambda t: (_order(t), t))
-    out = (reps, classes)
-    G._cache["classes"] = out
-    return out
+
+    def partition() -> tuple[list[Tup], dict[Tup, ElementSet]]:
+        orbits = _conjugation_orbits([g._img for g in G.generators], elements)
+        classes = {orbit[0]: ElementSet(G.degree, orbit) for orbit in orbits}
+        return sorted(classes, key=lambda t: (_order(t), t)), classes
+
+    return _memo(G._cache, "classes", partition)
 
 
 def conjugacy_class_reps(G: PermGroup, cap: int = DEFAULT_CAP) -> list[Permutation]:
@@ -635,35 +647,28 @@ def quotient_by_normal(
         raise NotNormal("N is not normal in G")
     elements = enumerate_elements(G, cap)
     n_elements = enumerate_elements(N, cap)
-    table = G._cache.setdefault("quotient", {})
-    key = n_elements.raw_set()
-    if key in table:
-        return table[key]
-    n_members = n_elements.raw()
-    coset_of: dict[Tup, int] = {}
-    reps: list[Tup] = []
-    for t in elements.raw():
-        if t in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(t)
-        for n in n_members:
-            coset_of[_mul(n, t)] = idx
-    index = len(reps)
-    images: dict[Tup, Tup] = {}
 
-    def project(t: Tup) -> Tup:
-        image = images.get(t)
-        if image is None:
-            image = images[t] = tuple(coset_of[_mul(r, t)] for r in reps)
-        return image
+    def coset_action() -> tuple[PermGroup, Callable[[Tup], Tup]]:
+        coset_of: dict[Tup, int] = {}
+        reps: list[Tup] = []
+        for t in elements.raw():
+            if t in coset_of:
+                continue
+            idx = len(reps)
+            reps.append(t)
+            for n in n_elements.raw():
+                coset_of[_mul(n, t)] = idx
+        images: dict[Tup, Tup] = {}
 
-    quotient = PermGroup._from_raw(index, [project(g._img) for g in G.generators])
-    if quotient.order() * N.order() != G.order():
-        raise NotInGroup("coset action order mismatch (engine bug)")
+        def project(t: Tup) -> Tup:
+            return _memo(images, t, lambda: tuple(coset_of[_mul(r, t)] for r in reps))
 
-    table[key] = (quotient, project)
-    return table[key]
+        quotient = PermGroup._from_raw(len(reps), [project(g._img) for g in G.generators])
+        if quotient.order() * N.order() != G.order():
+            raise EngineInvariantViolated("coset action order mismatch")
+        return quotient, project
+
+    return _memo(_memo(G._cache, "quotient", dict), n_elements.raw_set(), coset_action)
 
 
 def _abelian_invariants(G: PermGroup, cap: int) -> list[int]:
@@ -689,7 +694,7 @@ def _abelian_invariants(G: PermGroup, cap: int) -> list[int]:
             while p**sj < count:
                 sj += 1
             if p**sj != count:
-                raise NotInGroup("abelian invariant computation out of step")
+                raise EngineInvariantViolated("abelian invariant computation out of step")
             if sj == s[-1]:
                 break
             s.append(sj)

@@ -43,6 +43,7 @@ from .group import (
     _conjugation_orbits,
     _cyclic_tuples,
     _derived_gens,
+    _memo,
     _soluble_from_gens,
     _subgroup_gens,
     _subgroup_of,
@@ -81,12 +82,7 @@ __all__ = [
 
 def _powers_set(G: PermGroup, t: Tup) -> frozenset:
     """Memoized element set of the cyclic group generated by t."""
-    table = G._cache.setdefault("powers", {})
-    s = table.get(t)
-    if s is None:
-        s = frozenset(_cyclic_tuples(t))
-        table[t] = s
-    return s
+    return _memo(_memo(G._cache, "powers", dict), t, lambda: frozenset(_cyclic_tuples(t)))
 
 
 def _cyclic_generators(t: Tup) -> list[Tup]:
@@ -108,18 +104,15 @@ def _pair_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
     series of H (group._soluble_from_gens), which needs no group order.
     _pair_soluble_chain, the test by verified chains, is the oracle.
     """
-    key = (a, b) if a <= b else (b, a)
-    memo = G._cache.setdefault("pair_soluble", {})
-    verdict = memo.get(key)
-    if verdict is None:
+
+    def verdict() -> bool:
         if _conj(a, b) in _powers_set(G, a) or _conj(b, a) in _powers_set(G, b):
-            verdict = True
-        elif _certificate_chain(G.degree, [a, b], G.order()).order() == G.order():
-            verdict = is_soluble(G)
-        else:
-            verdict = _soluble_from_gens(G.degree, [a, b])
-        memo[key] = verdict
-    return verdict
+            return True
+        if _certificate_chain(G.degree, [a, b], G.order()).order() == G.order():
+            return is_soluble(G)
+        return _soluble_from_gens(G.degree, [a, b])
+
+    return _memo(_memo(G._cache, "pair_soluble", dict), (a, b) if a <= b else (b, a), verdict)
 
 
 def _pair_soluble_chain(G: PermGroup, a: Tup, b: Tup) -> bool:
@@ -154,19 +147,15 @@ def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
     every member of an orbit has the verdict of the one pair that is tested.
     Memoized per group, keyed by x; sol_set_exhaustive is the oracle.
     """
-    if x not in G:
-        raise NotInGroup(f"{x!r} is not an element of {G!r}")
     elements = enumerate_elements(G, cap)
     xt = x._img
-    table = G._cache.setdefault("sol_set", {})
-    found = table.get(xt)
-    if found is None:
-        if _sol_is_everything(G, xt):
-            found = elements
-        else:
-            found = _orbit_scan(G, x, elements, cap)
-        table[xt] = found
-    return found
+
+    def scan() -> ElementSet:
+        if x not in G:
+            raise NotInGroup(f"{x!r} is not an element of {G!r}")
+        return elements if _sol_is_everything(G, xt) else _orbit_scan(G, x, elements, cap)
+
+    return _memo(_memo(G._cache, "sol_set", dict), xt, scan)
 
 
 def _orbit_scan(G: PermGroup, x: Permutation, elements: ElementSet, cap: int) -> ElementSet:
@@ -241,40 +230,38 @@ class SolubilizerRecord(NamedTuple):
 def sol_record(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> SolubilizerRecord:
     """Compute the full solubilizer record for one element; memoized per group."""
     sol = sol_set(G, x, cap)
-    table = G._cache.setdefault("sol_record", {})
-    record = table.get(x._img)
-    if record is not None:
-        return record
-    n_x = normalizer_of_cyclic(G, x, cap)
-    c_x = centralizer(G, x, cap)
-    nx_order = n_x.order()
-    cx_order = c_x.order()
-    size = len(sol)
-    # Facts that hold unconditionally; a violation is an engine bug.
-    if size % cx_order != 0:
-        raise EngineInvariantViolated("centralizer order must divide the solubilizer size")
-    if x not in sol or G.identity() not in sol:
-        raise EngineInvariantViolated("x and the identity must lie in the solubilizer")
-    if not enumerate_elements(n_x, cap).raw_set() <= sol.raw_set():
-        raise EngineInvariantViolated("the cyclic normalizer must lie in the solubilizer")
-    ell_cx = orbit_count(c_x, sol)
-    ell_nx = orbit_count(n_x, sol)
-    record = SolubilizerRecord(
-        x=x,
-        sol=sol,
-        sol_size=size,
-        n_x=n_x,
-        c_x=c_x,
-        ell_cx=ell_cx,
-        ell_nx=ell_nx,
-        conjecture_ok=size % nx_order == 0,
-        ratio34=Fraction(cx_order * ell_cx, nx_order),
-        # a subset of G with |G| members is G
-        is_subgroup=size == G.order() or _subgroup_gens(G.degree, sol.raw()) is not None,
-        equals_nx=size == nx_order,
-    )
-    table[x._img] = record
-    return record
+
+    def record() -> SolubilizerRecord:
+        n_x = normalizer_of_cyclic(G, x, cap)
+        c_x = centralizer(G, x, cap)
+        nx_order = n_x.order()
+        cx_order = c_x.order()
+        size = len(sol)
+        # Facts that hold unconditionally; a violation is an engine bug.
+        if size % cx_order != 0:
+            raise EngineInvariantViolated("centralizer order must divide the solubilizer size")
+        if x not in sol or G.identity() not in sol:
+            raise EngineInvariantViolated("x and the identity must lie in the solubilizer")
+        if not enumerate_elements(n_x, cap).raw_set() <= sol.raw_set():
+            raise EngineInvariantViolated("the cyclic normalizer must lie in the solubilizer")
+        ell_cx = orbit_count(c_x, sol)
+        ell_nx = orbit_count(n_x, sol)
+        return SolubilizerRecord(
+            x=x,
+            sol=sol,
+            sol_size=size,
+            n_x=n_x,
+            c_x=c_x,
+            ell_cx=ell_cx,
+            ell_nx=ell_nx,
+            conjecture_ok=size % nx_order == 0,
+            ratio34=Fraction(cx_order * ell_cx, nx_order),
+            # a subset of G with |G| members is G
+            is_subgroup=size == G.order() or _subgroup_gens(G.degree, sol.raw()) is not None,
+            equals_nx=size == nx_order,
+        )
+
+    return _memo(_memo(G._cache, "sol_record", dict), x._img, record)
 
 
 def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -329,20 +316,18 @@ def _generator_classes(Y: ElementSet) -> tuple[tuple[Tup, int], ...]:
 def orbit_count(H: PermGroup, Y: ElementSet) -> int:
     """Number of orbits of H acting on Y by conjugation (direct partition).
 
-    Memoized in H's cache, keyed by Y's members; a call that raises stores
-    nothing.
+    Memoized in H's cache, keyed by Y's members.
     """
     if H.degree != Y.degree:
         raise NotInvariantSet("acting group and set have different degrees")
-    table = H._cache.setdefault("orbit_count", {})
-    key = Y.raw_set()
-    count = table.get(key)
-    if count is None:
+
+    def count() -> int:
         orbits = _conjugation_orbits([h._img for h in H.generators], Y)
         if orbits is None:
             raise NotInvariantSet("set is not closed under conjugation by the acting group")
-        count = table[key] = len(orbits)
-    return count
+        return len(orbits)
+
+    return _memo(_memo(H._cache, "orbit_count", dict), Y.raw_set(), count)
 
 
 def burnside_orbit_count(H: PermGroup, Y: ElementSet, cap: int = DEFAULT_CAP) -> int:
@@ -381,25 +366,22 @@ def burnside_orbit_count(H: PermGroup, Y: ElementSet, cap: int = DEFAULT_CAP) ->
 def n_value(G: PermGroup, g: Permutation, x: Permutation, cap: int = DEFAULT_CAP) -> Fraction:
     """The reduced rational |sol restricted to C_G(g)| / |N_x meet C_G(g)|.
 
-    Memoized in G's cache, keyed by (g, x); a call that raises stores nothing.
+    Memoized in G's cache, keyed by (g, x).  sol_set checks the cap, and x's
+    membership on its own miss.
     """
-    table = G._cache.setdefault("n_value", {})
-    key = (g._img, x._img)
-    value = table.get(key)
-    if value is None:
-        if x not in G:
-            raise NotInGroup(f"{x!r} is not an element of {G!r}")
+    sol_members = sol_set(G, x, cap).raw_set()
+
+    def ratio() -> Fraction:
         n_x = normalizer_of_cyclic(G, x, cap)
         if g not in n_x:
             raise NotInGroup("the weighting element must normalize the cyclic group of x")
-        cg = centralizer(G, g, cap)
-        cg_elements = enumerate_elements(cg, cap).raw()
-        sol_members = sol_set(G, x, cap).raw_set()
-        numerator = sum(1 for t in cg_elements if t in sol_members)
+        cg_elements = enumerate_elements(centralizer(G, g, cap), cap).raw()
         nx_members = enumerate_elements(n_x, cap).raw_set()
+        numerator = sum(1 for t in cg_elements if t in sol_members)
         denominator = sum(1 for t in cg_elements if t in nx_members)
-        value = table[key] = Fraction(numerator, denominator)
-    return value
+        return Fraction(numerator, denominator)
+
+    return _memo(_memo(G._cache, "n_value", dict), (g._img, x._img), ratio)
 
 
 def _chain_between(
@@ -425,22 +407,20 @@ def _nx_orbit_reps(n_x: PermGroup, H: PermGroup, cap: int) -> tuple[Permutation,
     and H sits between them), so the orbits partition H minus the identity.
     Each representative is the canonically least member of its orbit and the
     tuple is sorted, which keeps downstream sums deterministic.  Memoized in
-    n_x's cache, keyed by H's members; a call that raises stores nothing.
+    n_x's cache, keyed by H's members.
     """
     elements = enumerate_elements(H, cap)
-    table = n_x._cache.setdefault("nx_orbit_reps", {})
-    key = elements.raw_set()
-    reps = table.get(key)
-    if reps is None:
+
+    def reps() -> tuple[Permutation, ...]:
         orbits = _conjugation_orbits([h._img for h in n_x.generators], elements)
         if orbits is None:
             raise SubgroupChainViolated(
                 "H is not invariant under conjugation by the cyclic normalizer"
             )
         # the identity is the least element, so its one-point orbit leads
-        reps = tuple(Permutation._from_tuple(orbit[0]) for orbit in orbits[1:])
-        table[key] = reps
-    return reps
+        return tuple(Permutation._from_tuple(orbit[0]) for orbit in orbits[1:])
+
+    return _memo(_memo(n_x._cache, "nx_orbit_reps", dict), elements.raw_set(), reps)
 
 
 def lemma32_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT_CAP) -> int:
@@ -470,23 +450,21 @@ def eq1_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT_CAP
     collapses to a centralizer index, giving
 
       orbits of H on G = [G : H] + [n_x : H] * sum [C_G(g_i) : n_x meet C_G(g_i)].
+
+    Each index is read from n_value, which holds it for soluble G.
     """
     if not is_soluble(G):
         raise NotSoluble("the index form of the identity is asserted for soluble groups only")
     sol, _c_x, n_x = _chain_between(G, x, H, cap)
     ell_h = orbit_count(H, sol)
-    nx_members = enumerate_elements(n_x, cap).raw_set()
     index_sum = 0
     for rep in _nx_orbit_reps(n_x, H, cap):
-        cg = centralizer(G, rep, cap)
-        cg_elements = enumerate_elements(cg, cap).raw()
-        meet = sum(1 for t in cg_elements if t in nx_members)
-        index, remainder = divmod(len(cg_elements), meet)
-        if remainder != 0:
+        index = n_value(G, rep, x, cap)
+        if index.denominator != 1:
             raise EngineInvariantViolated(
                 "intersection order must divide the centralizer order"
             )
-        index_sum += index
+        index_sum += index.numerator
     h_order = H.order()
     return ell_h - G.order() // h_order - (n_x.order() // h_order) * index_sum
 

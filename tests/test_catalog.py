@@ -5,7 +5,7 @@ from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
 from solvlab import families
-from solvlab.errors import FormatError, InvalidParameter
+from solvlab.errors import EngineInvariantViolated, FormatError, InvalidParameter
 from solvlab.families import (
     CatalogEntry,
     FamilySpec,
@@ -66,7 +66,8 @@ class TestFamilySpecs:
     def test_order_mismatch_names_the_spec(self, monkeypatch):
         entry = families._FAMILIES["cyclic"]
         monkeypatch.setitem(families._FAMILIES, "cyclic", entry._replace(order=lambda n: n + 1))
-        with pytest.raises(InvalidParameter) as raised:
+        # a built group of the wrong order is an engine bug, not a bad parameter
+        with pytest.raises(EngineInvariantViolated) as raised:
             make_family(FamilySpec("cyclic", (5,)))
         assert str(raised.value) == (
             "constructed order 5 != expected 6 for FamilySpec(family='cyclic', params=(5,))"

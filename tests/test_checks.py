@@ -1,7 +1,10 @@
-"""The catalog sweep's per-entry checks, on paths a correct engine never takes."""
+"""The catalog sweep's per-entry checks, on paths a correct engine never takes,
+and the worker count of a parallel sweep."""
+
+import concurrent.futures
 
 from solvlab import checks
-from solvlab.families import CatalogEntry, FamilySpec
+from solvlab.families import CatalogEntry, FamilySpec, builtin_specs
 
 COUNTEREXAMPLE_KEYS = [
     "group", "element", "check", "sol_size", "nx_order", "cx_order",
@@ -26,3 +29,40 @@ class TestCounterexamplePath:
             for key in COUNTEREXAMPLE_KEYS:
                 if key != "check":
                     assert found[key] == item[key]
+
+
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    task at once in this process, so no worker is ever started."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        InlineExecutor.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestWorkers:
+    def test_at_most_one_worker_per_group(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(InlineExecutor, "max_workers", [])
+        groups = len(builtin_specs(8))
+        assert groups > 2
+        serial = checks.run_catalog_checks(8, ("conjecture",))
+        for jobs, workers in ((5000, groups), (groups + 1, groups), (2, 2)):
+            assert checks.run_catalog_checks(8, ("conjecture",), jobs=jobs) == serial
+            assert InlineExecutor.max_workers.pop() == workers
+        # one group needs no pool
+        assert len(builtin_specs(1)) == 1
+        checks.run_catalog_checks(1, ("conjecture",), jobs=5000)
+        assert InlineExecutor.max_workers == []

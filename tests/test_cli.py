@@ -176,6 +176,16 @@ class TestEngineInvariantExit:
         assert out == ""
         assert err.startswith("solv-lab: engine invariant violated")
 
+    def test_constructed_order_mismatch_exits_3(self, capsys, monkeypatch):
+        # a family that builds a group of the wrong order is an engine bug
+        entry = _FAMILIES["alternating"]
+        monkeypatch.setitem(_FAMILIES, "alternating", entry._replace(order=lambda n: 1))
+        code, out, err = run(capsys, "sol", "--family", "a:5", "--order", "5")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("solv-lab: engine invariant violated")
+        assert "constructed order 60 != expected 1" in err
+
 
 class TestTable1:
     def test_reference_table_matches(self, capsys):
@@ -287,12 +297,25 @@ class TestDeterminism:
                 ("table1", "--format", "json"),
                 "2755630a50120b1b60f70da905468f315b47d3e1a552b468f4abee44110735fe",
             ),
+            (
+                ("verify", "--max-order", "120", "--format", "json"),
+                "903add2a0deec39524bf08c46f3a4380355800cf79ac57f910fdff56cc8a2e6f",
+            ),
+            (
+                ("classify", "--mode", "table2", "--format", "json"),
+                "d739b05e3b77ae4ca18a5379d8dd2aace947d96dd5d7ea40c8c1c70de63d40a0",
+            ),
+            (
+                ("sol", "--family", "psl2:7", "--order", "7", "--format", "json"),
+                "3959fd73175bb5d623c1bbb078b586149bb7ff2c222058dc42fc05d7d36df421",
+            ),
         ],
-        ids=["verify-60", "table1"],
+        ids=["verify-60", "table1", "verify-120", "classify-table2", "sol-psl2-7"],
     )
     def test_report_bytes_are_frozen(self, capsys, argv, digest):
-        # SHA-256 of the UTF-8 report, recorded at commit 663a38d: engine
-        # changes that only share or reuse work must not move a byte
+        # SHA-256 of the UTF-8 report, recorded at commit 663a38d (verify-60,
+        # table1) and c99781d (the rest): engine changes that only share or
+        # reuse work must not move a byte
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

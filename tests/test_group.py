@@ -8,6 +8,7 @@ import pytest
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
+import solvlab.group
 from solvlab.cycles import parse_cycles
 from solvlab.errors import EngineInvariantViolated, NotInGroup, NotNormal, OrderExceedsCap
 from solvlab.families import CatalogEntry, FamilySpec
@@ -33,7 +34,7 @@ from solvlab.group import (
     structure_tag,
 )
 from solvlab.perm import Permutation, _inv, _mul
-from solvlab.solubilizer import sol_record, soluble_radical
+from solvlab.solubilizer import sol_record, sol_set, soluble_radical
 
 from conftest import brute_center, brute_point_stabilizer
 
@@ -387,6 +388,63 @@ class TestOneObjectPerSubgroup:
             assert radical is G
         if family == "sl2":
             assert radical.order() == 2
+
+
+class TestMemoContract:
+    """Membership is tested on a miss only; the cap on every call."""
+
+    MEMOIZED = {
+        "centralizer": centralizer,
+        "normalizer_of_cyclic": normalizer_of_cyclic,
+        "sol_set": sol_set,
+    }
+
+    @pytest.mark.parametrize("name", MEMOIZED)
+    def test_a_non_member_raises_each_time_and_stores_nothing(self, name):
+        G = CatalogEntry.from_spec(FamilySpec("alternating", (5,))).group
+        odd = parse_cycles("(1,2)", 5)
+        for _ in range(2):
+            with pytest.raises(NotInGroup):
+                self.MEMOIZED[name](G, odd)
+        assert odd._img not in G._cache.get(name, {})
+
+    @pytest.mark.parametrize("name", MEMOIZED)
+    def test_a_memo_hit_runs_no_sift(self, name, monkeypatch):
+        G = CatalogEntry.from_spec(FamilySpec("symmetric", (4,))).group
+        sifts = []
+        real_contains = StabilizerChain.contains
+
+        def contains(chain, t):
+            sifts.append(t)
+            return real_contains(chain, t)
+
+        monkeypatch.setattr(StabilizerChain, "contains", contains)
+        for x in enumerate_elements(G):
+            found = self.MEMOIZED[name](G, x)
+            assert G._cache[name][x._img] is found
+            sifts.clear()
+            assert self.MEMOIZED[name](G, x) is found
+            assert sifts == []
+            with pytest.raises(OrderExceedsCap):
+                self.MEMOIZED[name](G, x, cap=G.order() - 1)
+
+    def test_an_equal_normalizer_is_stored_as_the_centralizer(self, monkeypatch):
+        # an involution of A5: C_G(x) = N_G(<x>) = V4, and G's element list
+        # is filtered once, so only the members of N_G(<x>) meet _commutes
+        G = CatalogEntry.from_spec(FamilySpec("alternating", (5,))).group
+        x = first_element_of_order(G, 2)
+        enumerate_elements(G)
+        commutes = []
+        real_commutes = solvlab.group._commutes
+        monkeypatch.setattr(
+            solvlab.group, "_commutes", lambda a, b: commutes.append(a) or real_commutes(a, b)
+        )
+        assert "centralizer" not in G._cache
+        n_x = normalizer_of_cyclic(G, x)
+        assert n_x.order() == 4
+        assert len(commutes) == 4
+        assert G._cache["centralizer"][x._img] is n_x
+        assert centralizer(G, x) is n_x
 
 
 class TestDerivedSeriesAndSolubility:

@@ -450,6 +450,37 @@ expect(lambda: _generated_order(3, [(1, 2, 0), (1, 0, 2)], 5))
 expect(lambda: _generated_order(6, [(1, 2, 0, 4, 3, 5)], 5))
 """
 
+    ENGINE_SITES = """
+import solvlab.group as g
+from solvlab import families
+from solvlab.families import CatalogEntry, FamilySpec
+
+def build(family, *params):
+    return CatalogEntry.from_spec(FamilySpec(family, params)).group
+
+# the chain's order is off by one, so the closure disagrees with it
+s4 = build("symmetric", 4)
+s4._chain._order = 25
+expect(lambda: g.enumerate_elements(s4))
+
+# |G/N| * |N| != |G| once G's order is corrupted after its elements are known
+s4 = build("symmetric", 4)
+v4 = g.PermGroup(s4.degree, [g.Permutation(p) for p in ([2, 1, 4, 3], [3, 4, 1, 2])])
+g.enumerate_elements(s4)
+s4._chain._order = 48
+expect(lambda: g.quotient_by_normal(s4, v4))
+
+# three elements of order dividing 2 in a group of order 4: not a power of 2
+c4 = build("cyclic", 4)
+c4._cache["elements"] = g.ElementSet(4, [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)])
+expect(lambda: g._abelian_invariants(c4, g.DEFAULT_CAP))
+
+# a family whose order formula disagrees with the group it builds
+entry = families._FAMILIES["cyclic"]
+families._FAMILIES["cyclic"] = entry._replace(order=lambda n: n + 1)
+expect(lambda: families.make_family(FamilySpec("cyclic", (5,))))
+"""
+
     CLASSIFIER_ROW = """
 from solvlab.classify import ClassifierRow
 
@@ -467,6 +498,7 @@ expect(lambda: ClassifierRow("psl2_cpct", (11,), 11, 3, "C_11:C_3", True), Inval
             (EQ1, 1),
             (GENERATED_ORDER, 2),
             (CLASSIFIER_ROW, 3),
+            (ENGINE_SITES, 4),
         ],
         ids=[
             "sol_record",
@@ -475,6 +507,7 @@ expect(lambda: ClassifierRow("psl2_cpct", (11,), 11, 3, "C_11:C_3", True), Inval
             "eq1_check",
             "generated_order",
             "classifier_row",
+            "engine_sites",
         ],
     )
     def test_each_invariant_raises(self, body, raises):
@@ -681,6 +714,15 @@ class TestOrbitMemos:
                     assert G._cache["n_value"][(g._img, record.x._img)] is value
                     assert n_value(G, g, record.x) is value
                     assert value == n_value(copy, g, record.x)
+
+    def test_eq1_reads_each_index_from_n_value(self):
+        G = fresh("symmetric", 4)
+        for record in records_of(G):
+            for H in (record.c_x, record.n_x):
+                assert eq1_check(G, record.x, H) == 0
+                for rep in _nx_orbit_reps(record.n_x, H, G.order()):
+                    value = G._cache["n_value"][(rep._img, record.x._img)]
+                    assert value.denominator == 1
 
     @pytest.mark.parametrize(
         "family,params",
