@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     DegreeMismatch,
     EngineInvariantViolated,
+    InvalidParameter,
     NotInGroup,
     NotNormal,
     OrderExceedsCap,
@@ -619,7 +620,7 @@ def is_maximal(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> bool:
         raise NotInGroup("H is not a subgroup of G")
     n = G.order()
     if H.order() == n:
-        raise NotInGroup("H equals G; maximality is undefined")
+        raise InvalidParameter("H equals G; maximality is undefined")
     h_gens = [g._img for g in H.generators]
     h_members = enumerate_elements(H, cap).raw_set()
     covered = set(h_members)
@@ -641,14 +642,15 @@ def quotient_by_normal(
     The coset of the identity is point 1; remaining cosets are numbered by
     the canonical order of their least members.  Memoized per group, keyed
     by the element set of N, so the quotient and its own memos are reused;
-    the projection keeps the image of each member it has computed.
+    the projection keeps the image of each member it has computed.  N's
+    normality is tested on a miss only.
     """
-    if not is_normal(G, N):
-        raise NotNormal("N is not normal in G")
     elements = enumerate_elements(G, cap)
     n_elements = enumerate_elements(N, cap)
 
     def coset_action() -> tuple[PermGroup, Callable[[Tup], Tup]]:
+        if not is_normal(G, N):
+            raise NotNormal("N is not normal in G")
         coset_of: dict[Tup, int] = {}
         reps: list[Tup] = []
         for t in elements.raw():

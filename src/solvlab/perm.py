@@ -8,6 +8,7 @@ boundary.
 
 from __future__ import annotations
 
+import operator
 from math import lcm
 
 from .errors import DegreeMismatch, MalformedPermutation
@@ -74,17 +75,22 @@ class Permutation:
     __slots__ = ("degree", "_img")
 
     def __init__(self, images):
-        """Build from a 1-based image sequence; entry i is the image of point i+1."""
-        img = tuple(int(v) - 1 for v in images)
+        """Build from a 1-based sequence of integer images; entry i is the image of point i+1."""
+        img: list[int] = []
+        for v in images:
+            try:
+                img.append(operator.index(v) - 1)
+            except TypeError:
+                raise MalformedPermutation(f"image {v!r} is not an integer") from None
         n = len(img)
         if n == 0:
             raise MalformedPermutation("empty image sequence")
         if sorted(img) != list(range(n)):
             raise MalformedPermutation(
-                f"images {list(images)!r} are not a bijection on 1..{n}"
+                f"images {[v + 1 for v in img]!r} are not a bijection on 1..{n}"
             )
         self.degree = n
-        self._img = img
+        self._img = tuple(img)
 
     @classmethod
     def _from_tuple(cls, img: Tup) -> "Permutation":

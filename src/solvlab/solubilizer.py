@@ -30,7 +30,6 @@ from .errors import (
     NormalizerIsWholeGroup,
     NotInGroup,
     NotInvariantSet,
-    NotNormal,
     NotSoluble,
     SubgroupChainViolated,
 )
@@ -53,7 +52,6 @@ from .group import (
     enumerate_elements,
     is_normal,
     is_soluble,
-    is_subgroup_of,
     normalizer_of_cyclic,
     quotient_by_normal,
 )
@@ -367,37 +365,20 @@ def n_value(G: PermGroup, g: Permutation, x: Permutation, cap: int = DEFAULT_CAP
     """The reduced rational |sol restricted to C_G(g)| / |N_x meet C_G(g)|.
 
     Memoized in G's cache, keyed by (g, x).  sol_set checks the cap, and x's
-    membership on its own miss.
+    membership on its own miss; g is looked up in n_x's members on a miss.
     """
     sol_members = sol_set(G, x, cap).raw_set()
 
     def ratio() -> Fraction:
-        n_x = normalizer_of_cyclic(G, x, cap)
-        if g not in n_x:
+        nx_members = enumerate_elements(normalizer_of_cyclic(G, x, cap), cap).raw_set()
+        if g._img not in nx_members:
             raise NotInGroup("the weighting element must normalize the cyclic group of x")
         cg_elements = enumerate_elements(centralizer(G, g, cap), cap).raw()
-        nx_members = enumerate_elements(n_x, cap).raw_set()
         numerator = sum(1 for t in cg_elements if t in sol_members)
         denominator = sum(1 for t in cg_elements if t in nx_members)
         return Fraction(numerator, denominator)
 
     return _memo(_memo(G._cache, "n_value", dict), (g._img, x._img), ratio)
-
-
-def _chain_between(
-    G: PermGroup, x: Permutation, H: PermGroup, cap: int
-) -> tuple[ElementSet, PermGroup, PermGroup]:
-    """Validate c_x <= H <= n_x and return (sol, c_x, n_x)."""
-    sol = sol_set(G, x, cap)
-    c_x = centralizer(G, x, cap)
-    n_x = normalizer_of_cyclic(G, x, cap)
-    if not is_subgroup_of(H, G):
-        raise SubgroupChainViolated("H is not a subgroup of G")
-    if not is_subgroup_of(c_x, H):
-        raise SubgroupChainViolated("H does not contain the centralizer of x")
-    if not is_subgroup_of(H, n_x):
-        raise SubgroupChainViolated("H is not contained in the cyclic normalizer of x")
-    return sol, c_x, n_x
 
 
 def _nx_orbit_reps(n_x: PermGroup, H: PermGroup, cap: int) -> tuple[Permutation, ...]:
@@ -423,6 +404,29 @@ def _nx_orbit_reps(n_x: PermGroup, H: PermGroup, cap: int) -> tuple[Permutation,
     return _memo(_memo(n_x._cache, "nx_orbit_reps", dict), elements.raw_set(), reps)
 
 
+def _identity_terms(
+    G: PermGroup, x: Permutation, H: PermGroup, cap: int
+) -> tuple[ElementSet, PermGroup, int, list[Fraction]]:
+    """The terms of the weighted orbit identity over H: sol, n_x, the number
+    of orbits of H on sol, and the n_value of each _nx_orbit_reps rep.
+
+    c_x <= H <= n_x (hence H <= G) is checked on the memoized member sets;
+    an H of another degree, or whose order does not divide |n_x|, is
+    refused before its members are enumerated.
+    """
+    sol = sol_set(G, x, cap)
+    n_x = normalizer_of_cyclic(G, x, cap)
+    if H.degree != G.degree or n_x.order() % H.order() != 0:
+        raise SubgroupChainViolated("H is not contained in the cyclic normalizer of x")
+    members = enumerate_elements(H, cap).raw_set()
+    if not enumerate_elements(centralizer(G, x, cap), cap).raw_set() <= members:
+        raise SubgroupChainViolated("H does not contain the centralizer of x")
+    if not members <= enumerate_elements(n_x, cap).raw_set():
+        raise SubgroupChainViolated("H is not contained in the cyclic normalizer of x")
+    ell_h = orbit_count(H, sol)
+    return sol, n_x, ell_h, [n_value(G, rep, x, cap) for rep in _nx_orbit_reps(n_x, H, cap)]
+
+
 def lemma32_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT_CAP) -> int:
     """Residual of the weighted orbit identity; zero on a correct engine.
 
@@ -430,12 +434,8 @@ def lemma32_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT
     where S sums the n_value weights over representatives of the n_x-orbits
     on H minus the identity.
     """
-    sol, _c_x, n_x = _chain_between(G, x, H, cap)
-    ell_h = orbit_count(H, sol)
-    total = Fraction(0)
-    for rep in _nx_orbit_reps(n_x, H, cap):
-        total += n_value(G, rep, x, cap)
-    weighted = n_x.order() * total
+    sol, n_x, ell_h, values = _identity_terms(G, x, H, cap)
+    weighted = n_x.order() * sum(values, Fraction(0))
     if weighted.denominator != 1:
         raise BurnsideNonIntegral(
             f"weighted orbit sum {weighted} is not an integer"
@@ -455,16 +455,10 @@ def eq1_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT_CAP
     """
     if not is_soluble(G):
         raise NotSoluble("the index form of the identity is asserted for soluble groups only")
-    sol, _c_x, n_x = _chain_between(G, x, H, cap)
-    ell_h = orbit_count(H, sol)
-    index_sum = 0
-    for rep in _nx_orbit_reps(n_x, H, cap):
-        index = n_value(G, rep, x, cap)
-        if index.denominator != 1:
-            raise EngineInvariantViolated(
-                "intersection order must divide the centralizer order"
-            )
-        index_sum += index.numerator
+    _sol, n_x, ell_h, values = _identity_terms(G, x, H, cap)
+    if any(index.denominator != 1 for index in values):
+        raise EngineInvariantViolated("intersection order must divide the centralizer order")
+    index_sum = sum(index.numerator for index in values)
     h_order = H.order()
     return ell_h - G.order() // h_order - (n_x.order() // h_order) * index_sum
 
@@ -511,10 +505,10 @@ def frobenius_structure(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) ->
 def lemma_exp_bound(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> tuple[int, bool]:
     """The dichotomy bound: sol equals n_x, or sol_size exceeds ell * |x|.
 
-    ell is the least index [<x> : <x> meet <x^y>] over y outside n_x.
+    ell is the least index [<x> : <x> meet <x^y>] over y outside n_x.  y
+    normalizes <x> exactly when x^y lies in <x>, so the x^y range over the
+    members of x's conjugacy class outside <x>.
     """
-    if x not in G:
-        raise NotInGroup(f"{x!r} is not an element of {G!r}")
     n_x = normalizer_of_cyclic(G, x, cap)
     if n_x.order() == G.order():
         raise NormalizerIsWholeGroup(
@@ -523,14 +517,11 @@ def lemma_exp_bound(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> tup
     xt = x._img
     x_powers = _powers_set(G, xt)
     x_order = _order(xt)
-    nx_members = enumerate_elements(n_x, cap).raw_set()
-    ell = x_order
-    for y in enumerate_elements(G, cap).raw():
-        if y in nx_members:
-            continue
-        conj_powers = _powers_set(G, _conj(xt, y))
-        meet = len(x_powers & conj_powers)
-        ell = min(ell, x_order // meet)
+    ell = min(
+        x_order // len(x_powers & _powers_set(G, c))
+        for c in class_of_rep(G, x, cap).raw()
+        if c not in x_powers
+    )
     sol = sol_set(G, x, cap)
     ok = (sol == enumerate_elements(n_x, cap)) or (len(sol) > ell * x_order)
     return ell, ok
@@ -543,11 +534,9 @@ def quotient_sol_check(G: PermGroup, N: PermGroup, x: Permutation, cap: int = DE
     under the quotient map equals sol(G/N, image of x) and |N| divides
     |sol(G, x)|.
     """
-    if not is_normal(G, N):
-        raise NotNormal("the subgroup is not normal in G")
+    quotient, project = quotient_by_normal(G, N, cap)
     if not is_soluble(N):
         raise NotSoluble("the normal subgroup must be soluble")
-    quotient, project = quotient_by_normal(G, N, cap)
     sol = sol_set(G, x, cap)
     image = ElementSet(quotient.degree, {project(t) for t in sol.raw()})
     # project does not check membership; sol_set has rejected an x outside G

@@ -10,7 +10,13 @@ from sympy.combinatorics import PermutationGroup as SymGroup
 
 import solvlab.group
 from solvlab.cycles import parse_cycles
-from solvlab.errors import EngineInvariantViolated, NotInGroup, NotNormal, OrderExceedsCap
+from solvlab.errors import (
+    EngineInvariantViolated,
+    InvalidParameter,
+    NotInGroup,
+    NotNormal,
+    OrderExceedsCap,
+)
 from solvlab.families import CatalogEntry, FamilySpec
 from solvlab.group import (
     PermGroup,
@@ -296,6 +302,11 @@ class TestSubgroups:
         )
         assert is_maximal(s4, a4)
         assert not is_maximal(s4, v4)
+
+    def test_is_maximal_refuses_the_whole_group(self, s4):
+        # nothing lies outside any group here: the argument is invalid
+        with pytest.raises(InvalidParameter, match="H equals G"):
+            is_maximal(s4, s4)
 
     @pytest.mark.parametrize(
         "family,params",

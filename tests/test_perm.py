@@ -37,6 +37,14 @@ class TestConstruction:
             perm(1, 2, 5)
         with pytest.raises(MalformedPermutation):
             Permutation([])
+        # int() would truncate these to the identity
+        with pytest.raises(MalformedPermutation):
+            Permutation([1.9, 2.2, 3])
+        with pytest.raises(MalformedPermutation):
+            Permutation(["a"])
+        # the message names the images read from a one-shot iterator
+        with pytest.raises(MalformedPermutation, match=r"images \[1, 1, 3\] are not"):
+            Permutation(v for v in [1, 1, 3])
 
     def test_point_application_is_one_based(self):
         p = perm(2, 3, 1)

@@ -175,6 +175,16 @@ def fresh(family, *params):
     return CatalogEntry.from_spec(FamilySpec(family, params)).group
 
 
+def recorded_sifts(monkeypatch):
+    """A list that receives every StabilizerChain.contains argument from now on."""
+    sifts = []
+    real_contains = StabilizerChain.contains
+    monkeypatch.setattr(
+        StabilizerChain, "contains", lambda chain, t: sifts.append(t) or real_contains(chain, t)
+    )
+    return sifts
+
+
 class TestReducedScanAgainstOracle:
     """sol_set decides one pair per orbit; sol_set_exhaustive tests every pair.
 
@@ -605,6 +615,35 @@ class TestCountingIdentities:
         with pytest.raises(SubgroupChainViolated):
             lemma32_check(a5, x, PermGroup(a5.degree, [y]))
 
+    @pytest.mark.parametrize(
+        "check,family,params",
+        [
+            (lemma32_check, "symmetric", (4,)),
+            (lemma32_check, "alternating", (5,)),
+            (eq1_check, "symmetric", (4,)),
+        ],
+        ids=["lemma32-s4", "lemma32-a5", "eq1-s4"],
+    )
+    def test_each_broken_chain_is_refused(self, check, family, params):
+        # x of largest order: C_G(x) = <x> < N_G(<x>) < G, a 4-cycle in S4
+        # (N_G(<x>) = D_8), a 5-cycle in A5 (D_10)
+        G = fresh(family, *params)
+        record = sol_record(G, conjugacy_class_reps(G)[-1])
+        x, c_x, n_x = record.x, record.c_x, record.n_x
+        assert c_x.order() < n_x.order() < G.order()
+        outside_cx = next(t for t in enumerate_elements(n_x) if t not in enumerate_elements(c_x))
+        padded = Permutation(list(x.images) + [G.degree + 1])
+        misses_cx = PermGroup(G.degree, [outside_cx])
+        other_degree = PermGroup(G.degree + 1, [padded])
+        order_3 = PermGroup(G.degree, [first_element_of_order(G, 3)])
+        assert n_x.order() % 3 != 0
+        for H in (misses_cx, G, other_degree, order_3):
+            with pytest.raises(SubgroupChainViolated):
+                check(G, x, H)
+        # refused by degree and order before their members are enumerated
+        assert "elements" not in other_degree._cache
+        assert "elements" not in order_3._cache
+
     def test_nx_orbit_reps_reject_a_non_normal_subgroup(self, a5):
         x = first_element_of_order(a5, 5)
         n_x = sol_record(a5, x).n_x  # D_10
@@ -725,6 +764,31 @@ class TestOrbitMemos:
                     assert value.denominator == 1
 
     @pytest.mark.parametrize(
+        "family,params,checks",
+        [("symmetric", (4,), (lemma32_check, eq1_check)), ("alternating", (5,), (lemma32_check,))],
+        ids=["s4", "a5"],
+    )
+    def test_a_second_pass_of_the_identities_runs_no_sift(
+        self, family, params, checks, monkeypatch
+    ):
+        # C_G(x) <= H <= N_G(<x>) is checked on memoized member sets
+        G = fresh(family, *params)
+
+        def one_pass():
+            return [
+                check(G, record.x, H)
+                for record in records_of(G)
+                for H in (record.c_x, record.n_x)
+                for check in checks
+            ]
+
+        first = one_pass()
+        assert set(first) == {0}
+        sifts = recorded_sifts(monkeypatch)
+        assert one_pass() == first
+        assert sifts == []
+
+    @pytest.mark.parametrize(
         "family,params",
         [("alternating", (5,)), ("symmetric", (5,)), ("sl2", (5,)), ("symmetric", (4,))],
     )
@@ -788,6 +852,22 @@ class TestFrobeniusStructure:
         assert finding.complement_order == 1
 
 
+def brute_exp_bound(G, x, n_x):
+    """lemma_exp_bound's (ell, ok) by conjugating x with every y of G
+    outside N_G(<x>)."""
+    x_order = x.order()
+    x_powers = {(x**k)._img for k in range(x_order)}
+    nx_members = enumerate_elements(n_x)
+    ell = x_order
+    for y in enumerate_elements(G):
+        if y not in nx_members:
+            c = x.conjugate_by(y)
+            meet = len(x_powers & {(c**k)._img for k in range(x_order)})
+            ell = min(ell, x_order // meet)
+    sol = sol_set(G, x)
+    return ell, sol == nx_members or len(sol) > ell * x_order
+
+
 class TestExpBound:
     def test_a5_values(self, a5):
         x5 = first_element_of_order(a5, 5)
@@ -796,6 +876,35 @@ class TestExpBound:
         x3 = first_element_of_order(a5, 3)
         ell, ok = lemma_exp_bound(a5, x3)
         assert (ell, ok) == (3, True)
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("alternating", (5,)),
+            ("symmetric", (4,)),
+            ("symmetric", (5,)),
+            ("psl2", (7,)),
+            ("sl2", (5,)),
+            ("agl1", (7,)),
+        ],
+    )
+    def test_agrees_with_the_walk_over_every_y_outside_the_normalizer(self, family, params):
+        G = fresh(family, *params)
+        compared = 0
+        for x in conjugacy_class_reps(G):
+            n_x = sol_record(G, x).n_x
+            if n_x.order() < G.order():
+                assert lemma_exp_bound(G, x) == brute_exp_bound(G, x, n_x)
+                compared += 1
+        assert compared
+
+    def test_a_non_member_raises_each_time_and_stores_nothing(self, a5):
+        odd = parse_cycles("(1,2)", 5)
+        for _ in range(2):
+            with pytest.raises(NotInGroup):
+                lemma_exp_bound(a5, odd)
+        for table in ("normalizer_of_cyclic", "powers", "sol_set"):
+            assert odd._img not in a5._cache.get(table, {})
 
     def test_vacuous_when_cyclic_group_is_normal(self):
         c6 = CatalogEntry.from_spec(FamilySpec("cyclic", (6,))).group
@@ -809,6 +918,16 @@ class TestQuotientCheck:
         z = brute_center(sl2_5)
         for rep in conjugacy_class_reps(sl2_5):
             assert quotient_sol_check(sl2_5, z, rep)
+
+    def test_a_second_pass_runs_no_sift(self, monkeypatch):
+        # N's normality is tested when the quotient is built, not per call
+        G = fresh("sl2", 5)
+        z = brute_center(G)
+        reps = conjugacy_class_reps(G)
+        assert all(quotient_sol_check(G, z, rep) for rep in reps)
+        sifts = recorded_sifts(monkeypatch)
+        assert all(quotient_sol_check(G, z, rep) for rep in reps)
+        assert sifts == []
 
     def test_requires_normal_soluble(self, s4, a5):
         from solvlab.group import PermGroup
