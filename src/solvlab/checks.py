@@ -12,7 +12,6 @@ reassembled in catalog order so reports do not depend on scheduling.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .cycles import format_cycles
@@ -27,6 +26,7 @@ from .group import (
 from .numtheory import is_prime
 from .perm import Permutation, _commutes, _conj
 from .solubilizer import (
+    _cyclic_generators,
     burnside_orbit_count,
     eq1_check,
     frobenius_structure,
@@ -180,21 +180,16 @@ def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
     """Divisibility, invariance and structure properties of one solubilizer.
 
     The invariance flag compares the record with the orbit-reduced scans for
-    the other generators of <x>.  The equivariance flag rescans a conjugate
+    the generators of <x>.  The equivariance flag rescans a conjugate
     of x with sol_set_exhaustive, so every representative's reduced set is
     also checked against the independent oracle."""
     sol = record.sol
     order = G.order()
     flags["cx_divides_sol"] = record.sol_size % record.c_x.order() == 0
 
-    x_order = rep.order()
-    invariant = True
-    for k in range(2, x_order):
-        if math.gcd(k, x_order) == 1:
-            if sol_set(G, rep**k, cap) != sol:
-                invariant = False
-                break
-    flags["sol_generator_invariant"] = invariant
+    flags["sol_generator_invariant"] = all(
+        sol_set(G, Permutation._from_tuple(t), cap) == sol for t in _cyclic_generators(rep._img)
+    )
 
     elements = enumerate_elements(G, cap)
     conjugator = elements.raw()[len(elements) // 3]
@@ -219,6 +214,7 @@ def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
             _commutes(a, b) for a in raw for b in raw
         )
 
+    x_order = rep.order()
     if not is_soluble(G) and is_prime(x_order):
         flags["no_selfnormalizing_prime_cyclic"] = record.n_x.order() > x_order
     else:

@@ -206,6 +206,8 @@ def cmd_verify(ns) -> int:
         raise InvalidParameter(
             f"--max-order {ns.max_order} exceeds the element cap {ns.cap}"
         )
+    if ns.max_order < 1:
+        raise InvalidParameter(f"--max-order must be at least 1, not {ns.max_order}")
     if ns.jobs < 1:
         raise InvalidParameter(f"--jobs must be at least 1, not {ns.jobs}")
     checks = _split_checks(ns.checks)

@@ -34,25 +34,24 @@ DEFAULT_CAP = 20000
 class StabilizerChain:
     """Deterministic base/strong-generator structure for a permutation group.
 
-    levels[i] holds the strong generators fixing bases[:i], the fundamental
-    orbit of bases[i] under them, and transversal elements u with
-    bases[i]^u = point (inverses cached for sifting).
+    levels[i] holds the strong generators fixing bases[:i] and one
+    transversal: for each point p of the fundamental orbit of bases[i] under
+    them, an element w with p^w = bases[i], the element sifting multiplies by.
 
     A chain grows only through sift_unverified and is completed only by
     verify().  Invariant, kept by _adjoin, the one method that adds a strong
-    generator: orbits[i] is exactly the orbit of bases[i] under gens[i],
-    orbits[i][p] maps bases[i] to p, and orbit_inv[i][p] is its inverse.
-    verify() relies on it and never rebuilds an orbit.
+    generator: the keys of transversals[i] are exactly the orbit of bases[i]
+    under gens[i], and transversals[i][p], a product of gens[i], carries p
+    to bases[i].  verify() relies on it and never rebuilds an orbit.
     """
 
-    __slots__ = ("degree", "bases", "gens", "orbits", "orbit_inv", "_order")
+    __slots__ = ("degree", "bases", "gens", "transversals", "_order")
 
     def __init__(self, degree: int, gens: Iterable[Tup] = ()):
         self.degree = degree
         self.bases: list[int] = []
         self.gens: list[list[Tup]] = []
-        self.orbits: list[dict[int, Tup]] = []
-        self.orbit_inv: list[dict[int, Tup]] = []
+        self.transversals: list[dict[int, Tup]] = []
         self._order: int | None = None
         for g in gens:
             self.sift_unverified(g)
@@ -64,10 +63,10 @@ class StabilizerChain:
             beta = t[self.bases[i]]
             if beta == self.bases[i]:
                 continue
-            u_inv = self.orbit_inv[i].get(beta)
-            if u_inv is None:
+            w = self.transversals[i].get(beta)
+            if w is None:
                 return t
-            t = _mul(t, u_inv)
+            t = _mul(t, w)
         return t
 
     def _adjoin(self, r: Tup) -> int:
@@ -77,7 +76,9 @@ class StabilizerChain:
 
         r fixes bases[:m] and moves bases[m] out of its orbit (or moves a
         point while fixing every base point, and then opens a new level), so
-        it joins levels 0..m and no strong generator is added twice.
+        it joins levels 0..m and no strong generator is added twice.  Orbits
+        grow along inverse edges: gamma^s = delta for gamma = s.index(delta),
+        so s w_delta carries gamma to the base, and no inverse is formed.
         """
         m = 0
         for b in self.bases:
@@ -89,32 +90,28 @@ class StabilizerChain:
             base = next(i for i, j in enumerate(r) if i != j)
             self.bases.append(base)
             self.gens.append([])
-            self.orbits.append({})
-            self.orbit_inv.append({})
-        idn = _identity(self.degree)
+            self.transversals.append({})
         for j in range(m + 1):
-            orbit, inv, gens = self.orbits[j], self.orbit_inv[j], self.gens[j]
+            transversal, gens = self.transversals[j], self.gens[j]
             gens.append(r)
-            if orbit:
+            if transversal:
                 # the old points are closed under the old generators
                 queue = []
-                for delta in list(orbit):
-                    gamma = r[delta]
-                    if gamma not in orbit:
-                        v = _mul(orbit[delta], r)
-                        orbit[gamma], inv[gamma] = v, _inv(v)
+                for delta in list(transversal):
+                    gamma = r.index(delta)
+                    if gamma not in transversal:
+                        transversal[gamma] = _mul(r, transversal[delta])
                         queue.append(gamma)
             else:
                 base = self.bases[j]
-                orbit[base] = inv[base] = idn
+                transversal[base] = _identity(self.degree)
                 queue = [base]
             for delta in queue:
-                u = orbit[delta]
+                w = transversal[delta]
                 for s in gens:
-                    gamma = s[delta]
-                    if gamma not in orbit:
-                        v = _mul(u, s)
-                        orbit[gamma], inv[gamma] = v, _inv(v)
+                    gamma = s.index(delta)
+                    if gamma not in transversal:
+                        transversal[gamma] = _mul(s, w)
                         queue.append(gamma)
         self._order = None
         return m
@@ -122,12 +119,13 @@ class StabilizerChain:
     def _schreier_residue(self, i: int) -> Tup | None:
         """Sift the Schreier generators of level i through the levels below;
         the first non-identity residue, or None if level i is complete."""
-        orbit, inv = self.orbits[i], self.orbit_inv[i]
+        transversal = self.transversals[i]
         idn = _identity(self.degree)
-        for delta, u in orbit.items():
+        for delta, w in transversal.items():
+            u = _inv(w)
             for s in self.gens[i]:
                 # sg is the identity on the edges of the transversal tree
-                sg = _mul(_mul(u, s), inv[s[delta]])
+                sg = _mul(_mul(u, s), transversal[s[delta]])
                 if sg != idn:
                     r = self._sift(sg, i + 1)
                     if r != idn:
@@ -159,8 +157,8 @@ class StabilizerChain:
     def order(self) -> int:
         if self._order is None:
             out = 1
-            for orb in self.orbits:
-                out *= len(orb)
+            for transversal in self.transversals:
+                out *= len(transversal)
             self._order = out
         return self._order
 
@@ -485,7 +483,7 @@ def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGro
     xt = x._img
 
     def filtration() -> PermGroup:
-        if x not in G:
+        if xt not in elements.raw_set():
             raise NotInGroup("x is not a member of G")
         return _subgroup_of(G, [t for t in elements.raw() if _commutes(t, xt)])
 
@@ -502,7 +500,7 @@ def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -
     xt = x._img
 
     def filtration() -> PermGroup:
-        if x not in G:
+        if xt not in elements.raw_set():
             raise NotInGroup("x is not a member of G")
         powers = set(_cyclic_tuples(xt))
         members = [t for t in elements.raw() if _conj(xt, t) in powers]
@@ -572,9 +570,10 @@ def class_of_rep(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> Elemen
     _, classes = _class_partition(G, cap)
     found = classes.get(x._img)
     if found is None:
-        if x not in G:
+        # the classes partition G
+        found = next((c for c in classes.values() if x._img in c.raw_set()), None)
+        if found is None:
             raise NotInGroup("x is not a member of G")
-        found = next(c for c in classes.values() if x._img in c.raw_set())
     return found
 
 

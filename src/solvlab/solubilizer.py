@@ -149,7 +149,7 @@ def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
     xt = x._img
 
     def scan() -> ElementSet:
-        if x not in G:
+        if xt not in elements.raw_set():
             raise NotInGroup(f"{x!r} is not an element of {G!r}")
         return elements if _sol_is_everything(G, xt) else _orbit_scan(G, x, elements, cap)
 
@@ -192,10 +192,10 @@ def sol_set_exhaustive(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> 
     Not memoized and blind to the orbit reduction; it is the oracle that
     checks sol_set.
     """
-    if x not in G:
-        raise NotInGroup(f"{x!r} is not an element of {G!r}")
     elements = enumerate_elements(G, cap)
     xt = x._img
+    if xt not in elements.raw_set():
+        raise NotInGroup(f"{x!r} is not an element of {G!r}")
     if _sol_is_everything(G, xt):
         return elements
     return ElementSet(
@@ -484,16 +484,16 @@ def frobenius_structure(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) ->
     cx_members = enumerate_elements(c_x, cap).raw_set()
     nx_members = enumerate_elements(n_x, cap).raw()
     index = n_x.order() // c_x.order()
-    frobenius = index > 1 and is_normal(n_x, c_x)
-    if frobenius:
-        idn = _identity(G.degree)
-        frobenius = not any(
-            _commutes(h, c)
-            for h in nx_members
-            if h not in cx_members
-            for c in cx_members
-            if c != idn
-        )
+    # c_x is normal in n_x: n in n_x maps x to a generator of <x>, whose
+    # centralizer is c_x
+    idn = _identity(G.degree)
+    frobenius = index > 1 and not any(
+        _commutes(h, c)
+        for h in nx_members
+        if h not in cx_members
+        for c in cx_members
+        if c != idn
+    )
     return FrobeniusFinding(
         is_frobenius_over_cx=frobenius,
         complement_order=index,

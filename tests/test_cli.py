@@ -245,6 +245,13 @@ class TestVerify:
         assert out == ""
         assert "--jobs must be at least 1" in err
 
+    @pytest.mark.parametrize("max_order", ["0", "-5"])
+    def test_max_order_below_one(self, capsys, max_order):
+        code, out, err = run(capsys, "verify", "--max-order", max_order)
+        assert code == 1
+        assert out == ""
+        assert "--max-order must be at least 1" in err
+
     def test_csv_header(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,5 +1,6 @@
 """Core group machinery against brute-force oracles and sympy."""
 
+import functools
 import itertools
 import math
 import random
@@ -39,8 +40,8 @@ from solvlab.group import (
     quotient_by_normal,
     structure_tag,
 )
-from solvlab.perm import Permutation, _inv, _mul
-from solvlab.solubilizer import sol_record, sol_set, soluble_radical
+from solvlab.perm import Permutation, _mul
+from solvlab.solubilizer import sol_record, sol_set, sol_set_exhaustive, soluble_radical
 
 from conftest import brute_center, brute_point_stabilizer
 
@@ -66,10 +67,24 @@ def to_sympy(G):
     return SymGroup([SymPerm([i - 1 for i in g.images]) for g in G.generators])
 
 
+@functools.cache
+def sympy_group(degree, gens):
+    return SymGroup([SymPerm(list(t), size=degree) for t in gens])
+
+
+@functools.cache
+def in_generated_group(degree, gens, t):
+    """Whether t lies in <gens>, by sympy; cached, since the helper below
+    asks again for every element the chain kept after each sift."""
+    return sympy_group(degree, gens).contains(SymPerm(list(t), size=degree))
+
+
 def assert_chain_invariant(chain):
     """Check, by brute force, what verify() relies on instead of rebuilding:
     each level holds exactly the strong generators fixing the earlier base
-    points, and its orbit, transversal and inverses match those generators."""
+    points, its transversal's keys are their orbit of the base point, and
+    each transversal element lies in their group and carries its point to
+    the base point."""
     strong = set().union(*chain.gens)
     for j, base in enumerate(chain.bases):
         gens = chain.gens[j]
@@ -83,11 +98,10 @@ def assert_chain_invariant(chain):
                 if s[p] not in orbit:
                     orbit.add(s[p])
                     frontier.append(s[p])
-        assert set(chain.orbits[j]) == orbit
-        assert set(chain.orbit_inv[j]) == orbit
-        for p, u in chain.orbits[j].items():
-            assert u[base] == p
-            assert chain.orbit_inv[j][p] == _inv(u)
+        assert set(chain.transversals[j]) == orbit
+        for p, w in chain.transversals[j].items():
+            assert w[p] == base
+            assert in_generated_group(chain.degree, tuple(gens), w)
 
 
 def sympy_order(degree, gens):
@@ -413,11 +427,29 @@ class TestMemoContract:
     @pytest.mark.parametrize("name", MEMOIZED)
     def test_a_non_member_raises_each_time_and_stores_nothing(self, name):
         G = CatalogEntry.from_spec(FamilySpec("alternating", (5,))).group
-        odd = parse_cycles("(1,2)", 5)
-        for _ in range(2):
-            with pytest.raises(NotInGroup):
-                self.MEMOIZED[name](G, odd)
-        assert odd._img not in G._cache.get(name, {})
+        # an odd permutation, and an element of another degree
+        for outside in (parse_cycles("(1,2)", 5), parse_cycles("(1,2,3)", 6)):
+            for _ in range(2):
+                with pytest.raises(NotInGroup):
+                    self.MEMOIZED[name](G, outside)
+            assert outside._img not in G._cache.get(name, {})
+
+    @pytest.mark.parametrize(
+        "function",
+        [sol_set, sol_set_exhaustive, centralizer, normalizer_of_cyclic, class_of_rep],
+        ids=lambda function: function.__name__,
+    )
+    def test_a_miss_reads_membership_from_the_member_list(self, function, monkeypatch):
+        tested = []
+        real_contains = PermGroup.__contains__
+        monkeypatch.setattr(
+            PermGroup, "__contains__", lambda G, p: tested.append(p) or real_contains(G, p)
+        )
+        for family, params in [("symmetric", (4,)), ("alternating", (5,))]:
+            G = CatalogEntry.from_spec(FamilySpec(family, params)).group
+            for x in enumerate_elements(G):
+                function(G, x)
+        assert tested == []
 
     @pytest.mark.parametrize("name", MEMOIZED)
     def test_a_memo_hit_runs_no_sift(self, name, monkeypatch):

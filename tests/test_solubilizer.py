@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import isprime
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
@@ -850,6 +851,39 @@ class TestFrobeniusStructure:
         finding = frobenius_structure(a5, x)
         assert not finding.is_frobenius_over_cx
         assert finding.complement_order == 1
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("alternating", (5,)),
+            ("symmetric", (4,)),
+            ("sl2", (5,)),
+            ("psl2", (7,)),
+            ("agl1", (7,)),
+            ("frobenius_pq", (11, 23)),
+        ],
+    )
+    def test_every_representative_against_brute_force(self, family, params, monkeypatch):
+        G = fresh(family, *params)
+        members = list(enumerate_elements(G))
+        reps = conjugacy_class_reps(G)
+        sifts = recorded_sifts(monkeypatch)
+        for x in reps:
+            powers = {x**k for k in range(x.order())}
+            c_x = {g for g in members if g * x == x * g}
+            n_x = {g for g in members if x.conjugate_by(g) in powers}
+            # C_G(x) is normal in N_G(<x>), so the finding needs no test of it
+            assert all(c.conjugate_by(n) in c_x for c in c_x for n in n_x)
+            outside = n_x - c_x
+            frobenius = bool(outside) and not any(
+                h * c == c * h for h in outside for c in c_x if not c.is_identity()
+            )
+            finding = frobenius_structure(G, x)
+            assert finding.is_frobenius_over_cx == frobenius
+            assert finding.complement_order == len(n_x) // len(c_x)
+            assert finding.index_prime == isprime(len(n_x) // len(c_x))
+            assert set(enumerate_elements(finding.kernel)) == c_x
+        assert sifts == []
 
 
 def brute_exp_bound(G, x, n_x):
