@@ -123,7 +123,8 @@ def run_entry_checks(entry: CatalogEntry, checks: tuple[str, ...], cap: int = DE
             flags["burnside_cx"] = (
                 record.ell_cx == burnside_orbit_count(record.c_x, record.sol, cap)
             )
-            flags["burnside_nx"] = (
+            # one count when N_G(<x>) is C_G(x): then ell_nx is ell_cx too
+            flags["burnside_nx"] = flags["burnside_cx"] if record.n_x is record.c_x else (
                 record.ell_nx == burnside_orbit_count(record.n_x, record.sol, cap)
             )
         if "eq1" in checks:

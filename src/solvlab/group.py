@@ -122,12 +122,14 @@ class StabilizerChain:
         transversal = self.transversals[i]
         idn = _identity(self.degree)
         for delta, w in transversal.items():
-            u = _inv(w)
+            u = None
             for s in self.gens[i]:
-                # sg is the identity on the edges of the transversal tree
-                sg = _mul(_mul(u, s), transversal[s[delta]])
-                if sg != idn:
-                    r = self._sift(sg, i + 1)
+                # w^-1 s w' is the identity exactly when s w' = w, as on the
+                # edges of the transversal tree; w^-1 is formed once, if needed
+                sw = _mul(s, transversal[s[delta]])
+                if sw != w:
+                    u = u or _inv(w)
+                    r = self._sift(_mul(u, sw), i + 1)
                     if r != idn:
                         return r
         return None
@@ -304,7 +306,8 @@ class PermGroup:
     Instances are immutable after construction; the private cache only holds
     results of pure computations (element lists, class data, solubility,
     the centralizers, cyclic normalizers, solubilizers, records and pair
-    verdicts of members, quotients), and may hold G itself (see _subgroup_of).
+    verdicts of members, quotients, and its proper subgroups by member set),
+    and may hold G itself (see _subgroup_of).
 
     Every cache entry, and every entry of a per-element table in it, is read
     and written through _memo.  Arguments are validated on a miss only: a key
@@ -384,8 +387,12 @@ def _memo(table: dict, key, compute: Callable):
 
 def _subgroup_of(G: PermGroup, members: list[Tup]) -> PermGroup:
     """The subgroup of G with the given members, which must be distinct
-    members of G closed under products: G itself when they number |G|."""
-    return G if len(members) == G.order() else PermGroup.from_elements(G.degree, members)
+    members of G closed under products: G itself when they number |G|, else
+    one object per member set, kept in G's cache."""
+    if len(members) == G.order():
+        return G
+    subgroups = _memo(G._cache, "subgroups", dict)
+    return _memo(subgroups, frozenset(members), lambda: PermGroup.from_elements(G.degree, members))
 
 
 def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:

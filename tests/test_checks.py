@@ -1,10 +1,16 @@
 """The catalog sweep's per-entry checks, on paths a correct engine never takes,
-and the worker count of a parallel sweep."""
+the Burnside counts they make, and the worker count of a parallel sweep."""
 
 import concurrent.futures
 
+import pytest
+
 from solvlab import checks
 from solvlab.families import CatalogEntry, FamilySpec, builtin_specs
+from solvlab.group import conjugacy_class_reps
+from solvlab.solubilizer import sol_record
+
+from conftest import brute_burnside_count
 
 COUNTEREXAMPLE_KEYS = [
     "group", "element", "check", "sol_size", "nx_order", "cx_order",
@@ -29,6 +35,36 @@ class TestCounterexamplePath:
             for key in COUNTEREXAMPLE_KEYS:
                 if key != "check":
                     assert found[key] == item[key]
+
+
+class TestBurnsideCounts:
+    @pytest.mark.parametrize(
+        "family,params",
+        [("cyclic", (12,)), ("dihedral", (12,)), ("symmetric", (4,)), ("alternating", (5,))],
+    )
+    def test_one_count_when_the_normalizer_is_the_centralizer(
+        self, family, params, monkeypatch
+    ):
+        entry = CatalogEntry.from_spec(FamilySpec(family, params))
+        counted = []
+        real_count = checks.burnside_orbit_count
+        monkeypatch.setattr(
+            checks,
+            "burnside_orbit_count",
+            lambda H, Y, cap: counted.append(H) or real_count(H, Y, cap),
+        )
+        items, _ = checks.run_entry_checks(entry, ("lemma32",))
+        G = entry.group
+        records = [sol_record(G, rep) for rep in conjugacy_class_reps(G)]
+        assert len(counted) == len(records) + sum(r.n_x is not r.c_x for r in records)
+        for item, record in zip(items, records, strict=True):
+            flags = item["flags"]
+            assert flags["burnside_cx"] == (
+                record.ell_cx == brute_burnside_count(record.c_x, record.sol)
+            )
+            assert flags["burnside_nx"] == (
+                record.ell_nx == brute_burnside_count(record.n_x, record.sol)
+            )
 
 
 class InlineExecutor:

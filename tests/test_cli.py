@@ -316,12 +316,24 @@ class TestDeterminism:
                 ("sol", "--family", "psl2:7", "--order", "7", "--format", "json"),
                 "3959fd73175bb5d623c1bbb078b586149bb7ff2c222058dc42fc05d7d36df421",
             ),
+            (
+                ("sol", "--family", "psl2:13", "--order", "7", "--format", "json"),
+                "99c8f92e6a852a640341a3eee202ff93e79a51b5a93f251888f812bdc5e7d819",
+            ),
+            (
+                ("sol", "--family", "a:7", "--order", "7", "--format", "json"),
+                "a9376b1c98e09c73781fb6056eb837bdf5cde81d0bb5b9de6749c94992f86107",
+            ),
         ],
-        ids=["verify-60", "table1", "verify-120", "classify-table2", "sol-psl2-7"],
+        ids=[
+            "verify-60", "table1", "verify-120", "classify-table2", "sol-psl2-7",
+            "sol-psl2-13", "sol-a7",
+        ],
     )
     def test_report_bytes_are_frozen(self, capsys, argv, digest):
         # SHA-256 of the UTF-8 report, recorded at commit 663a38d (verify-60,
-        # table1) and c99781d (the rest): engine changes that only share or
+        # table1), c99781d (verify-120, classify-table2, sol-psl2-7) and
+        # a3b1de9 (sol-psl2-13, sol-a7): engine changes that only share or
         # reuse work must not move a byte
         code, out, _ = run(capsys, *argv)
         assert code == 0

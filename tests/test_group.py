@@ -10,6 +10,7 @@ from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
 import solvlab.group
+from solvlab.checks import CHECK_TOKENS, run_entry_checks
 from solvlab.cycles import parse_cycles
 from solvlab.errors import (
     EngineInvariantViolated,
@@ -413,6 +414,28 @@ class TestOneObjectPerSubgroup:
             assert radical is G
         if family == "sl2":
             assert radical.order() == 2
+
+    @pytest.mark.parametrize("family,params", [("dihedral", (12,)), ("psl2", (7,))])
+    def test_one_object_per_member_set(self, family, params, monkeypatch):
+        # e.g. C_G(r) = C_G(r^5) for a rotation r of D24, and N_G(<x^k>) =
+        # N_G(<x>) for every k coprime to |x|
+        G = CatalogEntry.from_spec(FamilySpec(family, params)).group
+        for x in conjugacy_class_reps(G):
+            for k in range(2, x.order()):
+                if math.gcd(k, x.order()) == 1:
+                    assert centralizer(G, x**k) is centralizer(G, x)
+                    assert normalizer_of_cyclic(G, x**k) is normalizer_of_cyclic(G, x)
+        built = []
+        real_from_elements = PermGroup.from_elements
+
+        def from_elements(degree, raw):
+            raw = list(raw)
+            built.append(frozenset(raw))
+            return real_from_elements(degree, raw)
+
+        monkeypatch.setattr(PermGroup, "from_elements", from_elements)
+        run_entry_checks(CatalogEntry.from_spec(FamilySpec(family, params)), CHECK_TOKENS)
+        assert built and len(built) == len(set(built))
 
 
 class TestMemoContract:

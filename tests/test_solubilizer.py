@@ -46,6 +46,8 @@ from solvlab.group import (
     conjugacy_class_reps,
     enumerate_elements,
     first_element_of_order,
+    is_soluble,
+    normalizer_of_cyclic,
     structure_tag,
 )
 from solvlab.perm import Permutation, _conj
@@ -54,6 +56,7 @@ from solvlab.solubilizer import (
     _nx_orbit_reps,
     _pair_soluble,
     _pair_soluble_chain,
+    _sol_is_everything,
     burnside_orbit_count,
     eq1_check,
     frobenius_structure,
@@ -186,6 +189,27 @@ def recorded_sifts(monkeypatch):
     return sifts
 
 
+def brute_orbits(elements, maps):
+    """The orbits of the given bijections of elements, each a frozenset, by
+    closing every element under all of them."""
+    orbits = set()
+    seen = set()
+    for g in elements:
+        if g in seen:
+            continue
+        orbit = {g}
+        frontier = [g]
+        for y in frontier:
+            for f in maps:
+                z = f(y)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
 class TestReducedScanAgainstOracle:
     """sol_set decides one pair per orbit; sol_set_exhaustive tests every pair.
 
@@ -226,6 +250,36 @@ class TestReducedScanAgainstOracle:
         elements = enumerate_elements(G)
         x = Permutation._from_tuple(elements.raw()[index % len(elements)])
         assert sol_set(G, x) == sol_set_exhaustive(oracle_copy, x)
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("alternating", (5,)), ("symmetric", (5,)), ("psl2", (7,)), ("sl2", (5,))],
+    )
+    def test_one_pair_test_per_orbit_of_the_two_maps(self, family, params, monkeypatch):
+        G = fresh(family, *params)
+        tested = []
+        real_pair_soluble = solvlab.solubilizer._pair_soluble
+        monkeypatch.setattr(
+            solvlab.solubilizer,
+            "_pair_soluble",
+            lambda G, a, b: tested.append(b) or real_pair_soluble(G, a, b),
+        )
+        elements = list(enumerate_elements(G))
+        scanned = 0
+        for x in conjugacy_class_reps(G):
+            if _sol_is_everything(G, x._img):
+                continue
+            scanned += 1
+            two_maps = [lambda g: x * g] + [
+                lambda g, n=n: g.conjugate_by(n) for n in normalizer_of_cyclic(G, x).generators
+            ]
+            orbits = brute_orbits(elements, two_maps)
+            # g -> gx adds nothing: gx = (xg)^x
+            assert brute_orbits(elements, two_maps + [lambda g: g * x]) == orbits
+            tested.clear()
+            sol_set(G, x)
+            assert len(tested) == len(orbits)
+        assert scanned > 0
 
     def test_memoized_and_few_pair_tests(self):
         G = fresh("psl2", 13)
@@ -810,6 +864,25 @@ class TestSolubleRadical:
         assert set(enumerate_elements(radical)) == set(
             enumerate_elements(brute_center(sl2_5))
         )
+
+    @pytest.mark.parametrize("family,params", [("symmetric", (4,)), ("agl1", (7,))])
+    def test_a_soluble_group_is_its_radical_with_no_sift(self, family, params, monkeypatch):
+        G = fresh(family, *params)
+        assert is_soluble(G)  # the derived-series walk sifts, so it runs first
+        sifts = recorded_sifts(monkeypatch)
+        assert soluble_radical(G) is G
+        assert sifts == []
+
+    def test_a_proper_radical_is_tested_for_normality(self, monkeypatch):
+        G = fresh("sl2", 5)
+        tested = []
+        real_is_normal = solvlab.solubilizer.is_normal
+        monkeypatch.setattr(
+            solvlab.solubilizer, "is_normal", lambda G, H: tested.append(H) or real_is_normal(G, H)
+        )
+        radical = soluble_radical(G)
+        assert radical.order() == 2
+        assert tested == [radical]
 
 
 class TestPqScan:
