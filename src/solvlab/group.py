@@ -79,6 +79,7 @@ class StabilizerChain:
         it joins levels 0..m and no strong generator is added twice.  Orbits
         grow along inverse edges: gamma^s = delta for gamma = s.index(delta),
         so s w_delta carries gamma to the base, and no inverse is formed.
+        A residue that grows no orbit at level m is a sifting bug and raises.
         """
         m = 0
         for b in self.bases:
@@ -86,6 +87,7 @@ class StabilizerChain:
                 m += 1
             else:
                 break
+        grown_from = len(self.transversals[m]) if m < len(self.bases) else 0
         if m == len(self.bases):
             base = next(i for i, j in enumerate(r) if i != j)
             self.bases.append(base)
@@ -113,6 +115,8 @@ class StabilizerChain:
                     if gamma not in transversal:
                         transversal[gamma] = _mul(s, w)
                         queue.append(gamma)
+        if len(self.transversals[m]) == grown_from:
+            raise EngineInvariantViolated(f"residue {r} grows no orbit at level {m}")
         self._order = None
         return m
 
@@ -304,10 +308,11 @@ class PermGroup:
     """A permutation group given by generators, backed by a stabilizer chain.
 
     Instances are immutable after construction; the private cache only holds
-    results of pure computations (element lists, class data, solubility,
-    the centralizers, cyclic normalizers, solubilizers, records and pair
-    verdicts of members, quotients, and its proper subgroups by member set),
-    and may hold G itself (see _subgroup_of).
+    results of pure computations: "elements", "classes", "soluble",
+    "abelian"; by member set, "subgroups" (may hold G, see _subgroup_of),
+    "quotient", "orbit_count" and "nx_orbit_reps"; per member x,
+    "centralizer", "normalizer_of_cyclic", "powers" (<x>'s members),
+    "sol_set", "sol_record"; per pair, "n_value".  No pair verdicts.
 
     Every cache entry, and every entry of a per-element table in it, is read
     and written through _memo.  Arguments are validated on a miss only: a key

@@ -94,23 +94,19 @@ def _cyclic_generators(t: Tup) -> list[Tup]:
 def _pair_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
     """Whether the subgroup H of G generated by two elements is soluble.
 
-    Verdicts are memoized per group, keyed by the unordered pair of image
-    tuples.  Each rule is exact: if either element normalizes the cyclic
-    group of the other (the identity does), H is cyclic-by-cyclic, hence
-    soluble; if the unverified bound of group._certificate_chain reaches
-    |G|, H = G and G's own flag decides; every other pair walks the derived
-    series of H (group._soluble_from_gens), which needs no group order.
+    A pure test that stores no verdict.  Each rule is exact: if either
+    element normalizes the cyclic group of the other (the identity does), H
+    is cyclic-by-cyclic, hence soluble; if the unverified bound of
+    group._certificate_chain reaches |G|, H = G and G's own flag decides;
+    every other pair walks the derived series of H
+    (group._soluble_from_gens), which needs no group order.
     _pair_soluble_chain, the test by verified chains, is the oracle.
     """
-
-    def verdict() -> bool:
-        if _conj(a, b) in _powers_set(G, a) or _conj(b, a) in _powers_set(G, b):
-            return True
-        if _certificate_chain(G.degree, [a, b], G.order()).order() == G.order():
-            return is_soluble(G)
-        return _soluble_from_gens(G.degree, [a, b])
-
-    return _memo(_memo(G._cache, "pair_soluble", dict), (a, b) if a <= b else (b, a), verdict)
+    if _conj(a, b) in _powers_set(G, a) or _conj(b, a) in _powers_set(G, b):
+        return True
+    if _certificate_chain(G.degree, [a, b], G.order()).order() == G.order():
+        return is_soluble(G)
+    return _soluble_from_gens(G.degree, [a, b])
 
 
 def _pair_soluble_chain(G: PermGroup, a: Tup, b: Tup) -> bool:
@@ -129,12 +125,6 @@ def _pair_soluble_chain(G: PermGroup, a: Tup, b: Tup) -> bool:
     return True
 
 
-def _sol_is_everything(G: PermGroup, xt: Tup) -> bool:
-    """Shortcuts where every pair subgroup is soluble: G soluble, or x central
-    (then every pair subgroup is abelian)."""
-    return is_soluble(G) or all(_commutes(xt, h._img) for h in G.generators)
-
-
 def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
     """All g in G such that the subgroup generated by x and g is soluble.
 
@@ -142,8 +132,9 @@ def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
     <x, g> unchanged, and g -> n^-1 g n for the generators n of N_G(<x>),
     which conjugates <x, g> by n, fixing <x>.  So every member of an orbit
     has the verdict of the one pair that is tested.  g -> gx adds nothing:
-    gx = (xg)^x, and x lies in the group the generators n generate.
-    Memoized per group, keyed by x; sol_set_exhaustive is the oracle.
+    gx = (xg)^x, and x lies in the group the generators n generate.  The
+    one shortcut is soluble G.  Memoized per group, keyed by x;
+    sol_set_exhaustive is the oracle.
     """
     elements = enumerate_elements(G, cap)
     xt = x._img
@@ -151,7 +142,7 @@ def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
     def scan() -> ElementSet:
         if xt not in elements.raw_set():
             raise NotInGroup(f"{x!r} is not an element of {G!r}")
-        return elements if _sol_is_everything(G, xt) else _orbit_scan(G, x, elements, cap)
+        return elements if is_soluble(G) else _orbit_scan(G, x, elements, cap)
 
     return _memo(_memo(G._cache, "sol_set", dict), xt, scan)
 
@@ -159,8 +150,6 @@ def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
 def _orbit_scan(G: PermGroup, x: Permutation, elements: ElementSet, cap: int) -> ElementSet:
     xt = x._img
     n_gens = [n._img for n in normalizer_of_cyclic(G, x, cap).generators]
-    # Propagated verdicts stay local: the pair memo only ever holds the
-    # results of real pair tests, which the oracle may read.
     verdicts: dict[Tup, bool] = {}
     for g in elements.raw():
         if g in verdicts:
@@ -181,14 +170,14 @@ def _orbit_scan(G: PermGroup, x: Permutation, elements: ElementSet, cap: int) ->
 def sol_set_exhaustive(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
     """The same set as sol_set, by one pair test per element of G.
 
-    Not memoized and blind to the orbit reduction; it is the oracle that
-    checks sol_set.
+    Not memoized and blind to the orbit reduction; it shares only G's
+    solubility flag with sol_set.  It is the oracle that checks sol_set.
     """
     elements = enumerate_elements(G, cap)
     xt = x._img
     if xt not in elements.raw_set():
         raise NotInGroup(f"{x!r} is not an element of {G!r}")
-    if _sol_is_everything(G, xt):
+    if is_soluble(G):
         return elements
     return ElementSet(
         G.degree, (t for t in elements.raw() if _pair_soluble(G, xt, t))

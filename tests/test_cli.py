@@ -324,17 +324,22 @@ class TestDeterminism:
                 ("sol", "--family", "a:7", "--order", "7", "--format", "json"),
                 "a9376b1c98e09c73781fb6056eb837bdf5cde81d0bb5b9de6749c94992f86107",
             ),
+            (
+                ("sol", "--family", "sl2:5", "--order", "2", "--format", "json"),
+                "c42077708044a777893532dd14dddc09e4b7298a1317a10d3672ce384d3e9aa5",
+            ),
         ],
         ids=[
             "verify-60", "table1", "verify-120", "classify-table2", "sol-psl2-7",
-            "sol-psl2-13", "sol-a7",
+            "sol-psl2-13", "sol-a7", "sol-sl2-5",
         ],
     )
     def test_report_bytes_are_frozen(self, capsys, argv, digest):
         # SHA-256 of the UTF-8 report, recorded at commit 663a38d (verify-60,
-        # table1), c99781d (verify-120, classify-table2, sol-psl2-7) and
-        # a3b1de9 (sol-psl2-13, sol-a7): engine changes that only share or
-        # reuse work must not move a byte
+        # table1), c99781d (verify-120, classify-table2, sol-psl2-7),
+        # a3b1de9 (sol-psl2-13, sol-a7) and b35c016 (sol-sl2-5, the central
+        # -1): engine changes that only share or reuse work must not move a
+        # byte
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -185,6 +185,13 @@ class TestOrderAndMembership:
                 assert chain.order() <= order
             assert chain.order() == order
 
+    def test_a_residue_that_grows_no_orbit_is_refused(self):
+        # the square of the 4-cycle maps base point 0 into its orbit, which
+        # is already all four points; a correct sift never yields it
+        chain = StabilizerChain(4, [(1, 2, 3, 0)])
+        with pytest.raises(EngineInvariantViolated):
+            chain._adjoin((2, 3, 0, 1))
+
 
 class TestGeneratedOrder:
     """_generated_order against sympy, with the exact order and n! as bounds."""
@@ -493,6 +500,20 @@ class TestMemoContract:
             assert sifts == []
             with pytest.raises(OrderExceedsCap):
                 self.MEMOIZED[name](G, x, cap=G.order() - 1)
+
+    @pytest.mark.parametrize(
+        "family,params,extra",
+        [("alternating", (5,), set()), ("sl2", (5,), {"quotient"})],
+    )
+    def test_the_cache_holds_only_the_documented_tables(self, family, params, extra):
+        # the tables the PermGroup docstring names; no pair verdicts among them
+        entry = CatalogEntry.from_spec(FamilySpec(family, params))
+        run_entry_checks(entry, CHECK_TOKENS)
+        assert set(entry.group._cache) == {
+            "abelian", "centralizer", "classes", "elements", "n_value",
+            "normalizer_of_cyclic", "nx_orbit_reps", "orbit_count", "powers",
+            "sol_record", "sol_set", "soluble", "subgroups",
+        } | extra
 
     def test_an_equal_normalizer_is_stored_as_the_centralizer(self, monkeypatch):
         # an involution of A5: C_G(x) = N_G(<x>) = V4, and G's element list

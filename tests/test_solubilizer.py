@@ -56,7 +56,6 @@ from solvlab.solubilizer import (
     _nx_orbit_reps,
     _pair_soluble,
     _pair_soluble_chain,
-    _sol_is_everything,
     burnside_orbit_count,
     eq1_check,
     frobenius_structure,
@@ -170,9 +169,14 @@ class TestSolubleGroupsAreTrivialCases:
         for rep in conjugacy_class_reps(s4):
             assert len(sol_set(s4, rep)) == 24
 
-    def test_central_element_fast_path(self, sl2_5):
-        z = [g for g in enumerate_elements(brute_center(sl2_5)) if not g.is_identity()]
-        assert len(sol_set(sl2_5, z[0])) == 120
+    def test_central_elements_match_the_oracle(self, a5, sl2_5):
+        # a central x takes the orbit scan, where N_G(<x>) = G; the oracle
+        # tests every pair on a copy that shares no memo with the scan
+        central = [(sl2_5, z) for z in enumerate_elements(brute_center(sl2_5))]
+        central.append((a5, a5.identity()))
+        for G, z in central:
+            oracle_copy = PermGroup(G.degree, G.generators)
+            assert sol_set(G, z) == sol_set_exhaustive(oracle_copy, z) == enumerate_elements(G)
 
 
 def fresh(family, *params):
@@ -187,6 +191,19 @@ def recorded_sifts(monkeypatch):
         StabilizerChain, "contains", lambda chain, t: sifts.append(t) or real_contains(chain, t)
     )
     return sifts
+
+
+def recorded_pair_tests(monkeypatch):
+    """A list that receives the second element of every _pair_soluble call
+    from now on."""
+    tested = []
+    real_pair_soluble = solvlab.solubilizer._pair_soluble
+    monkeypatch.setattr(
+        solvlab.solubilizer,
+        "_pair_soluble",
+        lambda G, a, b: tested.append(b) or real_pair_soluble(G, a, b),
+    )
+    return tested
 
 
 def brute_orbits(elements, maps):
@@ -214,7 +231,8 @@ class TestReducedScanAgainstOracle:
     """sol_set decides one pair per orbit; sol_set_exhaustive tests every pair.
 
     The oracle always runs on a separately built copy of the group, so it
-    cannot read any pair verdict or set that the reduced scan memoized.
+    cannot read a set, a centralizer or a normalizer that the reduced scan
+    memoized.
     """
 
     @pytest.mark.parametrize(
@@ -257,19 +275,10 @@ class TestReducedScanAgainstOracle:
     )
     def test_one_pair_test_per_orbit_of_the_two_maps(self, family, params, monkeypatch):
         G = fresh(family, *params)
-        tested = []
-        real_pair_soluble = solvlab.solubilizer._pair_soluble
-        monkeypatch.setattr(
-            solvlab.solubilizer,
-            "_pair_soluble",
-            lambda G, a, b: tested.append(b) or real_pair_soluble(G, a, b),
-        )
+        tested = recorded_pair_tests(monkeypatch)
         elements = list(enumerate_elements(G))
-        scanned = 0
+        # the identity and SL(2,5)'s central -1 included: one test per class
         for x in conjugacy_class_reps(G):
-            if _sol_is_everything(G, x._img):
-                continue
-            scanned += 1
             two_maps = [lambda g: x * g] + [
                 lambda g, n=n: g.conjugate_by(n) for n in normalizer_of_cyclic(G, x).generators
             ]
@@ -279,16 +288,16 @@ class TestReducedScanAgainstOracle:
             tested.clear()
             sol_set(G, x)
             assert len(tested) == len(orbits)
-        assert scanned > 0
 
-    def test_memoized_and_few_pair_tests(self):
+    def test_memoized_and_few_pair_tests(self, monkeypatch):
         G = fresh("psl2", 13)
         x = first_element_of_order(G, 13)
+        calls = recorded_pair_tests(monkeypatch)
         first = sol_set(G, x)
+        assert 0 < len(calls) < G.order()
+        calls.clear()
         assert sol_set(G, x) is first
-        xt = x._img
-        tested = [key for key in G._cache["pair_soluble"] if xt in key]
-        assert len(tested) < G.order()
+        assert calls == []
 
     def test_records_are_shared(self, a5):
         x = first_element_of_order(a5, 3)
@@ -300,8 +309,8 @@ class TestPairTestAgainstChainOracle:
     walk on unverified chains; _pair_soluble_chain verifies one stabilizer
     chain per term of the derived series.
 
-    Each side runs on its own copy of the group, so neither reads a verdict
-    or a solubility flag the other cached.
+    Each side runs on its own copy of the group; _pair_soluble_chain reads
+    nothing of G but its degree.
     """
 
     @pytest.mark.parametrize(
