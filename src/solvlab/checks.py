@@ -189,13 +189,13 @@ def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
     flags["cx_divides_sol"] = record.sol_size % record.c_x.order() == 0
 
     flags["sol_generator_invariant"] = all(
-        sol_set(G, Permutation._from_tuple(t), cap) == sol for t in _cyclic_generators(rep._img)
+        sol_set(G, Permutation._from_images(t), cap) == sol for t in _cyclic_generators(rep._img)
     )
 
     elements = enumerate_elements(G, cap)
     conjugator = elements.raw()[len(elements) // 3]
     moved = sol_set_exhaustive(
-        G, Permutation._from_tuple(_conj(rep._img, conjugator)), cap
+        G, Permutation._from_images(_conj(rep._img, conjugator)), cap
     )
     expected = {_conj(t, conjugator) for t in sol.raw()}
     flags["sol_conjugation_equivariant"] = moved.raw_set() == expected

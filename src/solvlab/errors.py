@@ -17,6 +17,10 @@ class DegreeMismatch(SolvLabError):
     """Two permutations (or a permutation and a group) act on different point sets."""
 
 
+class DegreeTooLarge(SolvLabError):
+    """A degree above 256 points, more than a permutation's raw images can hold."""
+
+
 class CycleSyntaxError(SolvLabError):
     """Cycle notation could not be parsed.
 

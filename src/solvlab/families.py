@@ -31,7 +31,7 @@ from .errors import CycleSyntaxError, EngineInvariantViolated, FormatError, Inva
 from .fields import GF
 from .group import PermGroup, is_soluble
 from .numtheory import is_prime, is_prime_power, least_primitive_root
-from .perm import Permutation
+from .perm import Permutation, _check_degree
 
 
 class FamilySpec(NamedTuple):
@@ -327,6 +327,7 @@ def load_group_file(path) -> CatalogEntry:
         raise FormatError(f"degree is not an integer: {fields[1][2]!r}", fields[1][0])
     if degree < 1:
         raise FormatError("degree must be at least 1", fields[1][0])
+    _check_degree(degree)
     gens = []
     for lineno, key, value in fields[2:]:
         if key != "gen":

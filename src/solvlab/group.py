@@ -8,8 +8,8 @@ computed by exhaustive filtration at desk scale; an explicit cap (default
 20000) guards every enumeration.
 
 Conventions: right action i^p, left-to-right products, conjugation
-x^g = g^-1 x g.  Raw image tuples (0-based) are used in hot paths; public
-boundaries speak Permutation objects and 1-based points.
+x^g = g^-1 x g.  Raw images (0-based `bytes`, see perm) are used in hot
+paths; public boundaries speak Permutation objects and 1-based points.
 """
 
 from __future__ import annotations
@@ -26,7 +26,18 @@ from .errors import (
     NotNormal,
     OrderExceedsCap,
 )
-from .perm import Permutation, Tup, _comm, _commutes, _conj, _identity, _inv, _mul, _order
+from .perm import (
+    Images,
+    Permutation,
+    _check_degree,
+    _comm,
+    _commutes,
+    _conj,
+    _identity,
+    _inv,
+    _mul,
+    _order,
+)
 
 DEFAULT_CAP = 20000
 
@@ -47,17 +58,17 @@ class StabilizerChain:
 
     __slots__ = ("degree", "bases", "gens", "transversals", "_order")
 
-    def __init__(self, degree: int, gens: Iterable[Tup] = ()):
+    def __init__(self, degree: int, gens: Iterable[Images] = ()):
         self.degree = degree
         self.bases: list[int] = []
-        self.gens: list[list[Tup]] = []
-        self.transversals: list[dict[int, Tup]] = []
+        self.gens: list[list[Images]] = []
+        self.transversals: list[dict[int, Images]] = []
         self._order: int | None = None
         for g in gens:
             self.sift_unverified(g)
         self.verify()
 
-    def _sift(self, t: Tup, level: int) -> Tup:
+    def _sift(self, t: Images, level: int) -> Images:
         """Strip t through levels >= level; identity result means membership."""
         for i in range(level, len(self.bases)):
             beta = t[self.bases[i]]
@@ -69,7 +80,7 @@ class StabilizerChain:
             t = _mul(t, w)
         return t
 
-    def _adjoin(self, r: Tup) -> int:
+    def _adjoin(self, r: Images) -> int:
         """Record a sifted residue r as a strong generator and extend, in
         place, the basic orbit of every level it joins; returns the deepest
         such level.
@@ -120,7 +131,7 @@ class StabilizerChain:
         self._order = None
         return m
 
-    def _schreier_residue(self, i: int) -> Tup | None:
+    def _schreier_residue(self, i: int) -> Images | None:
         """Sift the Schreier generators of level i through the levels below;
         the first non-identity residue, or None if level i is complete."""
         transversal = self.transversals[i]
@@ -138,7 +149,7 @@ class StabilizerChain:
                         return r
         return None
 
-    def sift_unverified(self, t: Tup) -> bool:
+    def sift_unverified(self, t: Images) -> bool:
         """Adjoin the sifted residue of t as a strong generator, skipping
         Schreier verification; True if the chain grew.
 
@@ -168,7 +179,7 @@ class StabilizerChain:
             self._order = out
         return self._order
 
-    def contains(self, t: Tup) -> bool:
+    def contains(self, t: Images) -> bool:
         if len(t) != self.degree:
             return False
         return self._sift(t, 0) == _identity(self.degree)
@@ -191,7 +202,7 @@ def _replacement_steps(slots: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _certificate_words(gens: Sequence[Tup]):
+def _certificate_words(gens: Sequence[Images]):
     yield from gens
     if len(gens) < 2:
         return
@@ -208,7 +219,7 @@ def _certificate_words(gens: Sequence[Tup]):
 _IDLE_SIFT_LIMIT = 8
 
 
-def _certificate_chain(degree: int, gens: Sequence[Tup], target: int) -> StabilizerChain:
+def _certificate_chain(degree: int, gens: Sequence[Images], target: int) -> StabilizerChain:
     """The generation certificate: gens and fixed words in them sifted into
     a chain without Schreier verification, until the order bound reaches
     target, _IDLE_SIFT_LIMIT sifts in a row add nothing, or the words end.
@@ -223,7 +234,7 @@ def _certificate_chain(degree: int, gens: Sequence[Tup], target: int) -> Stabili
     return chain
 
 
-def _generated_order(degree: int, gens: Sequence[Tup], target: int) -> int:
+def _generated_order(degree: int, gens: Sequence[Images], target: int) -> int:
     """|<gens>|, given that target bounds it from above: target once the
     certificate's bound reaches it, else the verified chain's order.  An
     order above target raises EngineInvariantViolated."""
@@ -241,32 +252,32 @@ class ElementSet:
     _generator_classes holds solubilizer._generator_classes of the set once
     it has been computed, and None before."""
 
-    __slots__ = ("degree", "_tuples", "_set", "_generator_classes")
+    __slots__ = ("degree", "_images", "_set", "_generator_classes")
 
-    def __init__(self, degree: int, raw: Iterable[Tup]):
+    def __init__(self, degree: int, raw: Iterable[Images]):
         self.degree = degree
-        self._tuples: tuple[Tup, ...] = tuple(sorted(set(raw)))
-        self._set = frozenset(self._tuples)
-        self._generator_classes: tuple[tuple[Tup, int], ...] | None = None
+        self._images: tuple[Images, ...] = tuple(sorted(set(raw)))
+        self._set = frozenset(self._images)
+        self._generator_classes: tuple[tuple[Images, int], ...] | None = None
 
-    def raw(self) -> tuple[Tup, ...]:
-        """The member image tuples in canonical (lexicographic) order."""
-        return self._tuples
+    def raw(self) -> tuple[Images, ...]:
+        """The members' raw images in canonical (lexicographic) order."""
+        return self._images
 
     def raw_set(self) -> frozenset:
         return self._set
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._images)
 
     def __iter__(self):
-        for t in self._tuples:
-            yield Permutation._from_tuple(t)
+        for t in self._images:
+            yield Permutation._from_images(t)
 
     def __contains__(self, item) -> bool:
         if isinstance(item, Permutation):
             return item._img in self._set
-        return tuple(item) in self._set
+        return bytes(item) in self._set
 
     def __eq__(self, other) -> bool:
         return (
@@ -279,10 +290,12 @@ class ElementSet:
         return hash((self.degree, self._set))
 
     def __repr__(self) -> str:
-        return f"ElementSet(degree={self.degree}, size={len(self._tuples)})"
+        return f"ElementSet(degree={self.degree}, size={len(self._images)})"
 
 
-def _subgroup_gens(degree: int, members: Sequence[Tup]) -> tuple[list[Tup], StabilizerChain] | None:
+def _subgroup_gens(
+    degree: int, members: Sequence[Images]
+) -> tuple[list[Images], StabilizerChain] | None:
     """The members that grow one chain when sifted in order, with that chain
     verified, or None if the distinct members are not closed under products.
 
@@ -294,7 +307,7 @@ def _subgroup_gens(degree: int, members: Sequence[Tup]) -> tuple[list[Tup], Stab
     """
     size = len(members)
     chain = StabilizerChain(degree)
-    gens: list[Tup] = []
+    gens: list[Images] = []
     for t in members:
         if chain.sift_unverified(t):
             if chain.order() > size:
@@ -325,6 +338,7 @@ class PermGroup:
     def __init__(self, degree: int, generators: Iterable[Permutation]):
         if degree < 1:
             raise DegreeMismatch("degree must be at least 1")
+        _check_degree(degree)
         gens = []
         for g in generators:
             if g.degree != degree:
@@ -339,11 +353,11 @@ class PermGroup:
         self._cache: dict = {}
 
     @classmethod
-    def _from_raw(cls, degree: int, raw_gens: list[Tup]) -> "PermGroup":
-        return cls(degree, [Permutation._from_tuple(t) for t in raw_gens])
+    def _from_raw(cls, degree: int, raw_gens: list[Images]) -> "PermGroup":
+        return cls(degree, [Permutation._from_images(t) for t in raw_gens])
 
     @classmethod
-    def from_elements(cls, degree: int, raw: Iterable[Tup]) -> "PermGroup":
+    def from_elements(cls, degree: int, raw: Iterable[Images]) -> "PermGroup":
         """Group generated by (and equal to) the given closed element set.
 
         Elements are scanned in canonical order and only chain-growing ones
@@ -357,7 +371,7 @@ class PermGroup:
             )
         group = cls.__new__(cls)
         group.degree, group._chain = degree, found[1]
-        group.generators = tuple(Permutation._from_tuple(t) for t in found[0])
+        group.generators = tuple(Permutation._from_images(t) for t in found[0])
         group._cache = {"elements": ElementSet(degree, members)}
         return group
 
@@ -367,7 +381,7 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return p.degree == self.degree and self._chain.contains(p._img)
 
-    def _contains_tuple(self, t: Tup) -> bool:
+    def _contains_images(self, t: Images) -> bool:
         return self._chain.contains(t)
 
     def identity(self) -> Permutation:
@@ -390,7 +404,7 @@ def _memo(table: dict, key, compute: Callable):
     return value
 
 
-def _subgroup_of(G: PermGroup, members: list[Tup]) -> PermGroup:
+def _subgroup_of(G: PermGroup, members: list[Images]) -> PermGroup:
     """The subgroup of G with the given members, which must be distinct
     members of G closed under products: G itself when they number |G|, else
     one object per member set, kept in G's cache."""
@@ -425,8 +439,8 @@ def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:
 
 
 def _normal_closure_gens(
-    degree: int, ambient_gens: list[Tup], seeds: list[Tup]
-) -> tuple[list[Tup], StabilizerChain]:
+    degree: int, ambient_gens: list[Images], seeds: list[Images]
+) -> tuple[list[Images], StabilizerChain]:
     """Generators of the normal closure of seeds under ambient_gens, and their chain.
 
     Seeds and conjugates are kept when they grow one unverified chain.  Every
@@ -446,7 +460,7 @@ def _normal_closure_gens(
     return kept, chain
 
 
-def _derived_gens(degree: int, gens: list[Tup]) -> tuple[list[Tup], StabilizerChain]:
+def _derived_gens(degree: int, gens: list[Images]) -> tuple[list[Images], StabilizerChain]:
     """Generators of the derived subgroup of <gens>, the normal closure of
     the generators' commutators, with its unverified chain.  A trivial or
     repeated commutator does not grow the chain, so it is not kept."""
@@ -454,7 +468,7 @@ def _derived_gens(degree: int, gens: list[Tup]) -> tuple[list[Tup], StabilizerCh
     return _normal_closure_gens(degree, gens, comms)
 
 
-def _soluble_from_gens(degree: int, gens: list[Tup]) -> bool:
+def _soluble_from_gens(degree: int, gens: list[Images]) -> bool:
     """Whether <gens> is soluble, by a derived-series walk that needs no group order.
 
     Each term K = <gens> comes with K' = <derived> and its unverified chain,
@@ -514,7 +528,7 @@ def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -
     def filtration() -> PermGroup:
         if xt not in elements.raw_set():
             raise NotInGroup("x is not a member of G")
-        powers = set(_cyclic_tuples(xt))
+        powers = set(_cyclic_images(xt))
         members = [t for t in elements.raw() if _conj(xt, t) in powers]
         if not all(_commutes(t, xt) for t in members):
             return _subgroup_of(G, members)
@@ -523,7 +537,7 @@ def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -
     return _memo(_memo(G._cache, "normalizer_of_cyclic", dict), xt, filtration)
 
 
-def _cyclic_tuples(x: Tup) -> list[Tup]:
+def _cyclic_images(x: Images) -> list[Images]:
     """All powers of x, identity included."""
     idn = _identity(len(x))
     out = [idn]
@@ -534,15 +548,15 @@ def _cyclic_tuples(x: Tup) -> list[Tup]:
     return out
 
 
-def _conjugation_orbits(gens: list[Tup], members: ElementSet) -> list[list[Tup]] | None:
+def _conjugation_orbits(gens: list[Images], members: ElementSet) -> list[list[Images]] | None:
     """The orbits of conjugation by gens on members, or None if one leaves them.
 
     members are walked in canonical order, so each orbit is led by its least
     member and the orbits come in the order of their leaders.
     """
     inside = members.raw_set()
-    seen: set[Tup] = set()
-    orbits: list[list[Tup]] = []
+    seen: set[Images] = set()
+    orbits: list[list[Images]] = []
     for t in members.raw():
         if t in seen:
             continue
@@ -560,10 +574,10 @@ def _conjugation_orbits(gens: list[Tup], members: ElementSet) -> list[list[Tup]]
     return orbits
 
 
-def _class_partition(G: PermGroup, cap: int) -> tuple[list[Tup], dict[Tup, ElementSet]]:
+def _class_partition(G: PermGroup, cap: int) -> tuple[list[Images], dict[Images, ElementSet]]:
     elements = enumerate_elements(G, cap)
 
-    def partition() -> tuple[list[Tup], dict[Tup, ElementSet]]:
+    def partition() -> tuple[list[Images], dict[Images, ElementSet]]:
         orbits = _conjugation_orbits([g._img for g in G.generators], elements)
         classes = {orbit[0]: ElementSet(G.degree, orbit) for orbit in orbits}
         return sorted(classes, key=lambda t: (_order(t), t)), classes
@@ -574,7 +588,7 @@ def _class_partition(G: PermGroup, cap: int) -> tuple[list[Tup], dict[Tup, Eleme
 def conjugacy_class_reps(G: PermGroup, cap: int = DEFAULT_CAP) -> list[Permutation]:
     """One representative per class: least member, sorted by order then encoding."""
     reps, _ = _class_partition(G, cap)
-    return [Permutation._from_tuple(t) for t in reps]
+    return [Permutation._from_images(t) for t in reps]
 
 
 def class_of_rep(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
@@ -597,7 +611,7 @@ def first_element_of_order(G: PermGroup, k: int, cap: int = DEFAULT_CAP) -> Perm
     """
     for t in enumerate_elements(G, cap).raw():
         if _order(t) == k:
-            return Permutation._from_tuple(t)
+            return Permutation._from_images(t)
     return None
 
 
@@ -615,7 +629,7 @@ def is_normal(G: PermGroup, H: PermGroup) -> bool:
     for h in H.generators:
         ht = h._img
         for g in G.generators:
-            if not H._contains_tuple(_conj(ht, g._img)):
+            if not H._contains_images(_conj(ht, g._img)):
                 return False
     return True
 
@@ -646,9 +660,9 @@ def is_maximal(G: PermGroup, H: PermGroup, cap: int = DEFAULT_CAP) -> bool:
 
 def quotient_by_normal(
     G: PermGroup, N: PermGroup, cap: int = DEFAULT_CAP
-) -> tuple[PermGroup, Callable[[Tup], Tup]]:
+) -> tuple[PermGroup, Callable[[Images], Images]]:
     """The quotient G/N as the action on right cosets of N, with the
-    projection of members of G (raw tuples; it does not check membership).
+    projection of members of G (raw images; it does not check membership).
 
     The coset of the identity is point 1; remaining cosets are numbered by
     the canonical order of their least members.  Memoized per group, keyed
@@ -659,11 +673,12 @@ def quotient_by_normal(
     elements = enumerate_elements(G, cap)
     n_elements = enumerate_elements(N, cap)
 
-    def coset_action() -> tuple[PermGroup, Callable[[Tup], Tup]]:
+    def coset_action() -> tuple[PermGroup, Callable[[Images], Images]]:
         if not is_normal(G, N):
             raise NotNormal("N is not normal in G")
-        coset_of: dict[Tup, int] = {}
-        reps: list[Tup] = []
+        _check_degree(G.order() // N.order())
+        coset_of: dict[Images, int] = {}
+        reps: list[Images] = []
         for t in elements.raw():
             if t in coset_of:
                 continue
@@ -671,10 +686,10 @@ def quotient_by_normal(
             reps.append(t)
             for n in n_elements.raw():
                 coset_of[_mul(n, t)] = idx
-        images: dict[Tup, Tup] = {}
+        images: dict[Images, Images] = {}
 
-        def project(t: Tup) -> Tup:
-            return _memo(images, t, lambda: tuple(coset_of[_mul(r, t)] for r in reps))
+        def project(t: Images) -> Images:
+            return _memo(images, t, lambda: bytes(coset_of[_mul(r, t)] for r in reps))
 
         quotient = PermGroup._from_raw(len(reps), [project(g._img) for g in G.generators])
         if quotient.order() * N.order() != G.order():
@@ -755,7 +770,7 @@ def structure_tag(G: PermGroup, cap: int = DEFAULT_CAP) -> str:
             None,
         )
         if rotation is not None:
-            powers = set(_cyclic_tuples(rotation))
+            powers = set(_cyclic_images(rotation))
             rot_inv = _inv(rotation)
             for t in enumerate_elements(G, cap).raw():
                 if t not in powers and _order(t) == 2 and _conj(rotation, t) == rot_inv:

@@ -1,9 +1,13 @@
-"""Permutations of {1, ..., n} as immutable image tuples.
+"""Permutations of {1, ..., n} whose images are stored as `bytes`.
 
 Composition is left to right: (p * q) sends i to q(p(i)), matching the
 right-action convention i^p used everywhere in this package.  Internally a
-permutation stores 0-based images; points are 1-based at every public
-boundary.
+permutation stores its 0-based images as one `bytes` object, byte i being
+the image of point i, and points are 1-based at every public boundary.
+Products, inverses and conjugates are then `bytes.translate` and
+`bytes.maketrans` calls, which run in C; a translation table is 256 bytes,
+so a degree is at most MAX_DEGREE.  Same-length `bytes` compare
+lexicographically, which is the canonical order of permutations.
 """
 
 from __future__ import annotations
@@ -11,48 +15,58 @@ from __future__ import annotations
 import operator
 from math import lcm
 
-from .errors import DegreeMismatch, MalformedPermutation
+from .errors import DegreeMismatch, DegreeTooLarge, MalformedPermutation
 
-Tup = tuple[int, ...]
+Images = bytes
 
-
-def _mul(p: Tup, q: Tup) -> Tup:
-    """Compose raw image tuples left to right."""
-    return tuple(map(q.__getitem__, p))
-
-
-def _inv(p: Tup) -> Tup:
-    r = [0] * len(p)
-    for i, j in enumerate(p):
-        r[j] = i
-    return tuple(r)
+MAX_DEGREE = 256
+# The identity on every byte value: _FULL[:n] is the identity of degree n,
+# and _FULL[n:] pads raw images of degree n to a full translation table.
+_FULL = bytes(range(MAX_DEGREE))
 
 
-def _conj(p: Tup, g: Tup) -> Tup:
-    """Conjugate p^g = g^-1 p g without forming intermediate products."""
-    r = [0] * len(p)
-    for i, j in enumerate(p):
-        r[g[i]] = g[j]
-    return tuple(r)
+def _check_degree(degree: int) -> None:
+    """Refuse a degree above MAX_DEGREE, which raw images cannot hold."""
+    if degree > MAX_DEGREE:
+        raise DegreeTooLarge(
+            f"degree {degree} exceeds {MAX_DEGREE}, the most points a permutation may move"
+        )
 
 
-def _comm(a: Tup, b: Tup) -> Tup:
+def _mul(p: Images, q: Images) -> Images:
+    """Compose raw images left to right."""
+    return p.translate(q + _FULL[len(q) :])
+
+
+def _inv(p: Images) -> Images:
+    n = len(p)
+    return bytes.maketrans(p, _FULL[:n])[:n]
+
+
+def _conj(p: Images, g: Images) -> Images:
+    """Conjugate p^g = g^-1 p g, which sends g(i) to g(p(i)), without
+    forming intermediate permutations."""
+    n = len(p)
+    return bytes.maketrans(g, p.translate(g + _FULL[n:]))[:n]
+
+
+def _comm(a: Images, b: Images) -> Images:
     """Commutator [a, b] = a^-1 b^-1 a b."""
     return _mul(_inv(_mul(b, a)), _mul(a, b))
 
 
-def _commutes(a: Tup, b: Tup) -> bool:
+def _commutes(a: Images, b: Images) -> bool:
     """Whether ab = ba, comparing the images of point 0 before the rest;
     that first comparison rejects most non-commuting pairs."""
     return a[b[0]] == b[a[0]] and all(a[b[i]] == b[a[i]] for i in range(1, len(a)))
 
 
-def _identity(n: int) -> Tup:
-    return tuple(range(n))
+def _identity(n: int) -> Images:
+    return _FULL[:n]
 
 
-def _order(p: Tup) -> int:
-    """Order of a raw tuple, the lcm of its cycle lengths."""
+def _order(p: Images) -> int:
+    """Order of raw images, the lcm of its cycle lengths."""
     seen = [False] * len(p)
     out = 1
     for i in range(len(p)):
@@ -70,7 +84,7 @@ def _order(p: Tup) -> int:
 
 
 class Permutation:
-    """An element of Sym(1..degree), stored as a tuple of images."""
+    """An element of Sym(1..degree), stored as its raw images."""
 
     __slots__ = ("degree", "_img")
 
@@ -85,15 +99,16 @@ class Permutation:
         n = len(img)
         if n == 0:
             raise MalformedPermutation("empty image sequence")
+        _check_degree(n)
         if sorted(img) != list(range(n)):
             raise MalformedPermutation(
                 f"images {[v + 1 for v in img]!r} are not a bijection on 1..{n}"
             )
         self.degree = n
-        self._img = tuple(img)
+        self._img = bytes(img)
 
     @classmethod
-    def _from_tuple(cls, img: Tup) -> "Permutation":
+    def _from_images(cls, img: Images) -> "Permutation":
         p = object.__new__(cls)
         p.degree = len(img)
         p._img = img
@@ -103,7 +118,8 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         if degree < 1:
             raise MalformedPermutation("degree must be at least 1")
-        return cls._from_tuple(_identity(degree))
+        _check_degree(degree)
+        return cls._from_images(_identity(degree))
 
     @property
     def images(self) -> tuple[int, ...]:
@@ -121,10 +137,10 @@ class Permutation:
             raise DegreeMismatch(
                 f"degrees differ: {self.degree} vs {other.degree}"
             )
-        return Permutation._from_tuple(_mul(self._img, other._img))
+        return Permutation._from_images(_mul(self._img, other._img))
 
     def inverse(self) -> "Permutation":
-        return Permutation._from_tuple(_inv(self._img))
+        return Permutation._from_images(_inv(self._img))
 
     def __pow__(self, k: int) -> "Permutation":
         n = self.degree
@@ -138,7 +154,7 @@ class Permutation:
                 out = _mul(out, base)
             base = _mul(base, base)
             k >>= 1
-        return Permutation._from_tuple(out)
+        return Permutation._from_images(out)
 
     def order(self) -> int:
         return _order(self._img)
@@ -150,7 +166,7 @@ class Permutation:
         """self^g = g^-1 * self * g."""
         if self.degree != g.degree:
             raise DegreeMismatch("conjugation across different degrees")
-        return Permutation._from_tuple(_conj(self._img, g._img))
+        return Permutation._from_images(_conj(self._img, g._img))
 
     def __eq__(self, other) -> bool:
         return (

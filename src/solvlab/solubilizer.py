@@ -40,7 +40,7 @@ from .group import (
     StabilizerChain,
     _certificate_chain,
     _conjugation_orbits,
-    _cyclic_tuples,
+    _cyclic_images,
     _derived_gens,
     _memo,
     _soluble_from_gens,
@@ -56,7 +56,7 @@ from .group import (
     quotient_by_normal,
 )
 from .numtheory import factorize, is_prime
-from .perm import Permutation, Tup, _commutes, _conj, _identity, _mul, _order
+from .perm import Images, Permutation, _commutes, _conj, _identity, _mul, _order
 
 __all__ = [
     "SolubilizerRecord",
@@ -78,20 +78,20 @@ __all__ = [
 ]
 
 
-def _powers_set(G: PermGroup, t: Tup) -> frozenset:
+def _powers_set(G: PermGroup, t: Images) -> frozenset:
     """Memoized element set of the cyclic group generated by t."""
-    return _memo(_memo(G._cache, "powers", dict), t, lambda: frozenset(_cyclic_tuples(t)))
+    return _memo(_memo(G._cache, "powers", dict), t, lambda: frozenset(_cyclic_images(t)))
 
 
-def _cyclic_generators(t: Tup) -> list[Tup]:
+def _cyclic_generators(t: Images) -> list[Images]:
     """The generators of <t>: the powers t^k with k coprime to |t|, t among
     them.  There are phi(|t|) of them, and each generates the same <t>."""
-    powers = _cyclic_tuples(t)
+    powers = _cyclic_images(t)
     order = len(powers)
     return [powers[k] for k in range(order) if gcd(k, order) == 1]
 
 
-def _pair_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
+def _pair_soluble(G: PermGroup, a: Images, b: Images) -> bool:
     """Whether the subgroup H of G generated by two elements is soluble.
 
     A pure test that stores no verdict.  Each rule is exact: if either
@@ -109,7 +109,7 @@ def _pair_soluble(G: PermGroup, a: Tup, b: Tup) -> bool:
     return _soluble_from_gens(G.degree, [a, b])
 
 
-def _pair_soluble_chain(G: PermGroup, a: Tup, b: Tup) -> bool:
+def _pair_soluble_chain(G: PermGroup, a: Images, b: Images) -> bool:
     """The same verdict as _pair_soluble, by one verified chain's order per
     term of the derived series of <a, b>: soluble once a term is trivial,
     insoluble once the order stops falling.  Not memoized, and blind to the
@@ -150,7 +150,7 @@ def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
 def _orbit_scan(G: PermGroup, x: Permutation, elements: ElementSet, cap: int) -> ElementSet:
     xt = x._img
     n_gens = [n._img for n in normalizer_of_cyclic(G, x, cap).generators]
-    verdicts: dict[Tup, bool] = {}
+    verdicts: dict[Images, bool] = {}
     for g in elements.raw():
         if g in verdicts:
             continue
@@ -163,7 +163,7 @@ def _orbit_scan(G: PermGroup, x: Permutation, elements: ElementSet, cap: int) ->
                 if z not in verdicts:
                     verdicts[z] = verdict
                     frontier.append(z)
-    # the canonical tuples of the element list, not the orbit's copies
+    # the element list's canonical images, not the orbit's copies
     return ElementSet(G.degree, (t for t in elements.raw() if verdicts[t]))
 
 
@@ -251,18 +251,18 @@ def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
     class-constant) and collects whole classes; for soluble G that is G itself.
     """
     whole = enumerate_elements(G, cap)
-    member_tuples: list[Tup] = []
+    members: list[Images] = []
     for rep in conjugacy_class_reps(G, cap):
         if len(sol_set(G, rep, cap)) == len(whole):
-            member_tuples.extend(class_of_rep(G, rep, cap).raw())
-    radical = _subgroup_of(G, member_tuples or [_identity(G.degree)])
+            members.extend(class_of_rep(G, rep, cap).raw())
+    radical = _subgroup_of(G, members or [_identity(G.degree)])
     if radical is not G and not is_normal(G, radical):
         raise EngineInvariantViolated("the soluble radical must be normal")
     if not is_soluble(radical):
         raise EngineInvariantViolated("the soluble radical must be soluble")
     if not all(
-        len(sol_set(G, Permutation._from_tuple(t), cap)) == len(whole)
-        for t in member_tuples
+        len(sol_set(G, Permutation._from_images(t), cap)) == len(whole)
+        for t in members
     ):
         raise EngineInvariantViolated(
             "every member of the soluble radical must have the whole group as solubilizer"
@@ -270,15 +270,15 @@ def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
     return radical
 
 
-def _generator_classes(Y: ElementSet) -> tuple[tuple[Tup, int], ...]:
+def _generator_classes(Y: ElementSet) -> tuple[tuple[Images, int], ...]:
     """Weighted members that stand for Y in a sum over its cyclic subgroups:
     (t, phi(|t|)) for the least member t of each class of members that
     generate the same cyclic group, or (t, 1) for every member t if Y is not
     closed under coprime powers.  Computed once per set and kept on it."""
     if Y._generator_classes is None:
         members = Y.raw_set()
-        done: set[Tup] = set()
-        classes: list[tuple[Tup, int]] = []
+        done: set[Images] = set()
+        classes: list[tuple[Images, int]] = []
         for t in Y.raw():
             if t in done:
                 continue
@@ -380,7 +380,7 @@ def _nx_orbit_reps(n_x: PermGroup, H: PermGroup, cap: int) -> tuple[Permutation,
                 "H is not invariant under conjugation by the cyclic normalizer"
             )
         # the identity is the least element, so its one-point orbit leads
-        return tuple(Permutation._from_tuple(orbit[0]) for orbit in orbits[1:])
+        return tuple(Permutation._from_images(orbit[0]) for orbit in orbits[1:])
 
     return _memo(_memo(n_x._cache, "nx_orbit_reps", dict), elements.raw_set(), reps)
 
@@ -521,7 +521,7 @@ def quotient_sol_check(G: PermGroup, N: PermGroup, x: Permutation, cap: int = DE
     sol = sol_set(G, x, cap)
     image = ElementSet(quotient.degree, {project(t) for t in sol.raw()})
     # project does not check membership; sol_set has rejected an x outside G
-    sol_in_quotient = sol_set(quotient, Permutation._from_tuple(project(x._img)), cap)
+    sol_in_quotient = sol_set(quotient, Permutation._from_images(project(x._img)), cap)
     return image == sol_in_quotient and len(sol) % N.order() == 0
 
 

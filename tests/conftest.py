@@ -71,3 +71,23 @@ def catalog_sweep():
     start = time.monotonic()
     items, counterexamples = run_catalog_checks(1200, CHECK_TOKENS)
     return items, counterexamples, time.monotonic() - start
+
+
+# The tuple formulas of perm's primitives before raw images became bytes,
+# kept as the reference that the bytes versions are compared with.
+def ref_mul(p, q):
+    return tuple(map(q.__getitem__, p))
+
+
+def ref_inv(p):
+    r = [0] * len(p)
+    for i, j in enumerate(p):
+        r[j] = i
+    return tuple(r)
+
+
+def ref_conj(p, g):
+    r = [0] * len(p)
+    for i, j in enumerate(p):
+        r[g[i]] = g[j]
+    return tuple(r)

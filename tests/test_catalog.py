@@ -5,7 +5,7 @@ from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
 from solvlab import families
-from solvlab.errors import EngineInvariantViolated, FormatError, InvalidParameter
+from solvlab.errors import DegreeTooLarge, EngineInvariantViolated, FormatError, InvalidParameter
 from solvlab.families import (
     CatalogEntry,
     FamilySpec,
@@ -162,6 +162,17 @@ class TestGroupFiles:
         path = tmp_path / "t.group"
         path.write_text("name: triv\ndegree: 3\n")
         assert load_group_file(path).group.order() == 1
+
+    def test_a_degree_above_256_is_refused_before_any_generator(self, tmp_path):
+        path = tmp_path / "big.group"
+        # the generator line is malformed too: the degree is read first
+        for gens in ("", "gen: (1,1)\n"):
+            path.write_text(f"name: big\ndegree: 257\n{gens}")
+            with pytest.raises(DegreeTooLarge, match="degree 257"):
+                load_group_file(path)
+        path.write_text("name: edge\ndegree: 256\ngen: (1,256)\n")
+        entry = load_group_file(path)
+        assert entry.group.degree == 256 and entry.group.order() == 2
 
     def test_errors_carry_line_numbers(self, tmp_path):
         cases = [

@@ -2,15 +2,37 @@
 the Burnside counts they make, and the worker count of a parallel sweep."""
 
 import concurrent.futures
+import importlib.util
+import json
+import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from solvlab import checks
+from solvlab.cycles import parse_cycles
 from solvlab.families import CatalogEntry, FamilySpec, builtin_specs
 from solvlab.group import conjugacy_class_reps
 from solvlab.solubilizer import sol_record
 
 from conftest import brute_burnside_count
+
+
+def load_perfbench_workload():
+    """perfbench/workload.py as a module, loaded without writing bytecode
+    next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workload", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 COUNTEREXAMPLE_KEYS = [
     "group", "element", "check", "sol_size", "nx_order", "cx_order",
@@ -102,3 +124,48 @@ class TestWorkers:
         assert len(builtin_specs(1)) == 1
         checks.run_catalog_checks(1, ("conjecture",), jobs=5000)
         assert InlineExecutor.max_workers == []
+
+
+def cycle_type(x):
+    """The sorted cycle lengths of a permutation, fixed points included."""
+    seen, lengths = set(), []
+    for start in range(1, x.degree + 1):
+        length, point = 0, start
+        while point not in seen:
+            seen.add(point)
+            point = x(point)
+            length += 1
+        if length:
+            lengths.append(length)
+    return sorted(lengths)
+
+
+class TestRelabelledSweep:
+    def test_rows_do_not_depend_on_the_labelling(self):
+        # Renumbering the points conjugates every group by a permutation of
+        # them, so each class keeps its cycle type and every number and flag
+        # of its row; only the representative's cycles move.
+        relabelled_entry = load_perfbench_workload().relabelled_entry
+        specs = [
+            FamilySpec("alternating", (5,)),
+            FamilySpec("symmetric", (4,)),
+            FamilySpec("symmetric", (5,)),
+            FamilySpec("psl3_2"),
+            FamilySpec("sl2", (5,)),
+        ]
+
+        def rows(entry):
+            items, counterexamples = checks.run_entry_checks(entry, checks.CHECK_TOKENS)
+            assert counterexamples == []
+            out = Counter()
+            for item in items:
+                x = parse_cycles(item["element"], entry.group.degree)
+                out[json.dumps(dict(item, element=cycle_type(x)), sort_keys=True)] += 1
+            return out
+
+        rng = random.Random(23)
+        for spec in specs:
+            shipped = CatalogEntry.from_spec(spec)
+            relabelled = relabelled_entry(spec, rng)
+            assert relabelled.group.generators != shipped.group.generators
+            assert rows(relabelled) == rows(shipped)

@@ -97,6 +97,16 @@ class TestSol:
         assert out == ""
         assert "exceeds enumeration cap" in err
 
+    def test_a_family_above_256_points_exits_1(self, capsys):
+        # C_300 has order 300, inside the cap, on more points than allowed
+        code, out, err = run(capsys, "sol", "--family", "c:300", "--order", "1")
+        assert code == 1
+        assert out == ""
+        assert "degree 300 exceeds 256" in err
+        code, doc, _ = run_json(capsys, "sol", "--family", "c:256", "--order", "256")
+        assert code == 0
+        assert doc["items"][0]["sol_size"] == 256
+
     def test_every_family_token_names_its_family(self, capsys):
         small = {
             "cyclic": (4,),

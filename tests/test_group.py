@@ -13,6 +13,7 @@ import solvlab.group
 from solvlab.checks import CHECK_TOKENS, run_entry_checks
 from solvlab.cycles import parse_cycles
 from solvlab.errors import (
+    DegreeTooLarge,
     EngineInvariantViolated,
     InvalidParameter,
     NotInGroup,
@@ -113,14 +114,14 @@ def chain_test_gen_sets():
     """Seeded generator sets in S6 and S7, and an intransitive one on 7 points."""
     rng = random.Random(11)
     sets = [
-        (n, [tuple(rng.sample(range(n), n)) for _ in range(k)])
+        (n, [bytes(rng.sample(range(n), n)) for _ in range(k)])
         for n in (6, 7)
         for k in (1, 2, 3)
     ]
     blocks = []
     for _ in range(3):
         low, high = rng.sample(range(3), 3), rng.sample(range(3, 7), 4)
-        blocks.append(tuple(low + high))
+        blocks.append(bytes(low + high))
     sets.append((7, blocks))
     return sets
 
@@ -188,9 +189,9 @@ class TestOrderAndMembership:
     def test_a_residue_that_grows_no_orbit_is_refused(self):
         # the square of the 4-cycle maps base point 0 into its orbit, which
         # is already all four points; a correct sift never yields it
-        chain = StabilizerChain(4, [(1, 2, 3, 0)])
+        chain = StabilizerChain(4, [bytes((1, 2, 3, 0))])
         with pytest.raises(EngineInvariantViolated):
-            chain._adjoin((2, 3, 0, 1))
+            chain._adjoin(bytes((2, 3, 0, 1)))
 
 
 class TestGeneratedOrder:
@@ -272,10 +273,10 @@ class TestClosures:
         # words in their generators
         rng = random.Random(17)
         for _ in range(6):
-            gens = [tuple(rng.sample(range(3), 3) + rng.sample(range(3, 7), 4)) for _ in range(2)]
+            gens = [bytes(rng.sample(range(3), 3) + rng.sample(range(3, 7), 4)) for _ in range(2)]
             seeds = []
             for _ in range(rng.randrange(1, 3)):
-                word = tuple(range(7))
+                word = bytes(range(7))
                 for _ in range(rng.randrange(1, 5)):
                     word = _mul(word, rng.choice(gens))
                 seeds.append(word)
@@ -640,7 +641,7 @@ class TestQuotient:
         derived, _ = _derived_gens(quotient.degree, [g._img for g in quotient.generators])
         assert StabilizerChain(quotient.degree, derived).order() == 60
         x = sl2_5.generators[0]
-        assert Permutation._from_tuple(proj(x._img)) in quotient
+        assert Permutation._from_images(proj(x._img)) in quotient
 
     @pytest.mark.parametrize("case", ["sl2_5 by its radical", "s4 by v4"])
     def test_memoized_projection_matches_the_coset_action(self, case):
@@ -661,7 +662,7 @@ class TestQuotient:
         )
         number = {coset: i for i, coset in enumerate(cosets)}
         for t in members:
-            image = tuple(number[frozenset(_mul(c, t) for c in coset)] for coset in cosets)
+            image = bytes(number[frozenset(_mul(c, t) for c in coset)] for coset in cosets)
             assert proj(t) is first[t]
             assert first[t] == image
 
@@ -669,6 +670,38 @@ class TestQuotient:
         s3 = PermGroup(4, [parse_cycles("(1,2,3)", 4), parse_cycles("(1,2)", 4)])
         with pytest.raises(NotNormal):
             quotient_by_normal(s4, s3)
+
+    def test_more_than_256_cosets_are_refused_before_any_is_built(self, monkeypatch):
+        def cyclic_product(p, q):
+            """C_p x C_q on p + q points, and its trivial subgroup."""
+            gens = [
+                parse_cycles("(" + ",".join(map(str, range(1, p + 1))) + ")", p + q),
+                parse_cycles("(" + ",".join(map(str, range(p + 1, p + q + 1))) + ")", p + q),
+            ]
+            return PermGroup(p + q, gens), PermGroup(p + q, [])
+
+        G, trivial = cyclic_product(16, 16)
+        quotient, _ = quotient_by_normal(G, trivial)
+        assert quotient.degree == quotient.order() == 256
+        G, trivial = cyclic_product(17, 19)
+        enumerate_elements(G)
+
+        def no_coset_images(p, q):
+            raise AssertionError("a coset image was built")
+
+        monkeypatch.setattr(solvlab.group, "_mul", no_coset_images)
+        with pytest.raises(DegreeTooLarge, match="degree 323"):
+            quotient_by_normal(G, trivial)
+
+
+class TestDegreeLimit:
+    def test_a_group_above_256_points_is_refused(self):
+        with pytest.raises(DegreeTooLarge, match="degree 300"):
+            PermGroup(300, [])
+        cycle = Permutation([*range(2, 257), 1])
+        G = PermGroup(256, [cycle])
+        assert G.order() == 256
+        assert cycle in G and G.identity().degree == 256
 
 
 class TestStructureTag:

@@ -1,11 +1,23 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvlab.errors import DegreeMismatch, MalformedPermutation
-from solvlab.perm import Permutation
+from solvlab.errors import DegreeMismatch, DegreeTooLarge, MalformedPermutation
+from solvlab.perm import (
+    Permutation,
+    _comm,
+    _commutes,
+    _conj,
+    _identity,
+    _inv,
+    _mul,
+    _order,
+)
+
+from conftest import ref_conj, ref_inv, ref_mul
 
 
 def perm(*images):
@@ -45,6 +57,20 @@ class TestConstruction:
         # the message names the images read from a one-shot iterator
         with pytest.raises(MalformedPermutation, match=r"images \[1, 1, 3\] are not"):
             Permutation(v for v in [1, 1, 3])
+
+    def test_a_degree_above_256_is_refused(self):
+        with pytest.raises(DegreeTooLarge, match="degree 257"):
+            Permutation(range(1, 258))
+        with pytest.raises(DegreeTooLarge, match="degree 300"):
+            Permutation.identity(300)
+        # 256 points is the limit, not beyond it
+        reversal = Permutation(range(256, 0, -1))
+        assert reversal.degree == 256
+        assert reversal.images == tuple(range(256, 0, -1))
+        assert reversal.inverse() == reversal
+        e = Permutation.identity(256)
+        assert e.degree == 256 and e.is_identity()
+        assert e.images == tuple(range(1, 257))
 
     def test_point_application_is_one_based(self):
         p = perm(2, 3, 1)
@@ -116,3 +142,49 @@ class TestProperties:
         p, g = pad(p), pad(g)
         assert (p * p).conjugate_by(g) == p.conjugate_by(g) * p.conjugate_by(g)
         assert p.conjugate_by(g).order() == p.order()
+
+
+def ref_order(p):
+    """The lcm over points of the least k with p^k fixing the point."""
+    out = 1
+    for i in range(len(p)):
+        k, j = 1, p[i]
+        while j != i:
+            k, j = k + 1, p[j]
+        out = math.lcm(out, k)
+    return out
+
+
+class TestRawImagesAgainstTupleReference:
+    """The bytes primitives against the tuple formulas in conftest, at the
+    degrees where padding a translation table matters: 1, a small one, the
+    largest in the catalog's tables, and 255 and 256, where _mul pads with
+    one byte and with none."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 7, 28, 255, 256])
+    def test_primitives_match(self, degree):
+        rng = random.Random(degree)
+        perms = [bytes(rng.sample(range(degree), degree)) for _ in range(12)]
+        # powers of one permutation commute with each other
+        perms += [_mul(perms[0], perms[0]), _inv(perms[0])]
+        if degree >= 3:
+            # two transpositions of the last three points: their products in
+            # either order differ on those three points only
+            for i in (degree - 3, degree - 2):
+                swap = list(range(degree))
+                swap[i], swap[i + 1] = i + 1, i
+                perms.append(bytes(swap))
+        idn = _identity(degree)
+        assert idn == bytes(range(degree)) and len(idn) == degree
+        for p in perms:
+            t = tuple(p)
+            assert tuple(_inv(p)) == ref_inv(t)
+            assert _order(p) == ref_order(t)
+            assert _mul(p, idn) == _mul(idn, p) == p
+            for q in perms:
+                u = tuple(q)
+                assert tuple(_mul(p, q)) == ref_mul(t, u)
+                assert tuple(_conj(p, q)) == ref_conj(t, u)
+                assert tuple(_comm(p, q)) == ref_mul(ref_inv(ref_mul(u, t)), ref_mul(t, u))
+                assert _commutes(p, q) == (ref_mul(t, u) == ref_mul(u, t))
+        assert _commutes(perms[0], perms[13]) and _commutes(perms[12], perms[0])
