@@ -147,6 +147,7 @@ def _sl2_generators(q: int) -> tuple[GF, list]:
 
 def _psl2_group(q: int) -> PermGroup:
     """Projective-line action of SL(2, q); point 1 is [1:0], point c+2 is [c:1]."""
+    _check_degree(q + 1)  # refused before any table of GF(q) is built
     K, mats = _sl2_generators(q)
 
     def point_of(x: int, y: int) -> int:
@@ -169,6 +170,7 @@ def _psl2_group(q: int) -> PermGroup:
 
 def _sl2_group(q: int) -> PermGroup:
     """SL(2, q) acting on nonzero row vectors, labelled by ascending codes."""
+    _check_degree(q * q - 1)
     K, mats = _sl2_generators(q)
     vectors = [(x, y) for x in range(q) for y in range(q) if (x, y) != (0, 0)]
     index = {v: i + 1 for i, v in enumerate(vectors)}

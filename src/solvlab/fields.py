@@ -4,76 +4,15 @@ Elements are encoded as integers 0..q-1: the base-p digits of the code are
 the polynomial coefficients, least significant digit first.  The reducing
 polynomial is the lexicographically least monic irreducible of degree n,
 comparing coefficient vectors from the leading coefficient down; the choice
-only fixes a labelling and never changes any group-theoretic output.
+only fixes a labelling and never changes any group-theoretic output.  The
+multiplication table itself tells irreducible from reducible: GF(p)[x]/(f)
+is a field exactly when every nonzero row of its table holds a 1.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidBase
 from .numtheory import is_prime
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of coefficient lists (ascending degree) mod p."""
-    a = a[:]
-    db, lead = len(b) - 1, b[-1]
-    inv_lead = pow(lead, -1, p)
-    q = [0] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        coef = a[-1] * inv_lead % p
-        q[da - db] = coef
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            div = [0] * (d + 1)
-            m = code
-            for i in range(d):
-                div[i] = m % p
-                m //= p
-            div[d] = 1
-            _, rem = _poly_divmod(poly, div, p)
-            if rem == [0]:
-                return False
-    return True
-
-
-def _least_irreducible(p: int, n: int) -> list[int]:
-    """Monic irreducible of degree n, least by (c_{n-1}, ..., c_0)."""
-    for code in range(p**n):
-        digits = []
-        m = code
-        for _ in range(n):
-            digits.append(m % p)
-            m //= p
-        # read the code's digits as (c_{n-1}, ..., c_0), so ascending codes
-        # enumerate coefficient vectors in lexicographic order
-        coeffs = digits + [1]
-        if _is_irreducible(coeffs, p):
-            return coeffs
-    raise ArithmeticError(f"no irreducible polynomial of degree {n} over GF({p})")
 
 
 class GF:
@@ -85,57 +24,46 @@ class GF:
         q = p**n
         if q > 4096:
             raise InvalidBase(f"field size {q} beyond the supported table range")
-        self.p = p
-        self.n = n
-        self.q = q
-        self.modulus = tuple(_least_irreducible(p, n)) if n > 1 else (0, 1)
+        self.p, self.n, self.q = p, n, q
+        powers = [p**i for i in range(n)]
+        digits = [[c // s % p for s in powers] for c in range(q)]
 
-        def decode(code: int) -> list[int]:
-            out = []
-            for _ in range(n):
-                out.append(code % p)
-                code //= p
-            return out
+        def encode(coeffs) -> int:
+            return sum(c % p * s for c, s in zip(coeffs, powers))
 
-        def encode(coeffs: list[int]) -> int:
-            out = 0
-            for c in reversed(coeffs[:n]):
-                out = out * p + (c % p)
-            return out
-
-        polys = [decode(c) for c in range(q)]
-        self.add_table = [
-            [encode([(x + y) % p for x, y in zip(polys[a], polys[b])]) for b in range(q)]
-            for a in range(q)
-        ]
-        modulus = list(self.modulus)
-        mul = []
-        for a in range(q):
-            row = []
-            for b in range(q):
-                if n == 1:
-                    row.append(a * b % p)
-                else:
-                    prod = _poly_mul(polys[a], polys[b], p)
-                    _, rem = _poly_divmod(prod, modulus, p)
-                    rem += [0] * (n - len(rem))
-                    row.append(encode(rem))
-            mul.append(row)
-        self.mul_table = mul
-        self.neg_table = [self.add_inverse(a) for a in range(q)]
-        inv = [0] * q
+        # c - p^i takes one from c's lowest nonzero digit i, so tables fill from
+        # entries already set: a+b = (a - x^i) + b + x^i, a*b = a*(b - x^i) + a*x^i
+        low = [0] + [next(i for i, d in enumerate(digits[c]) if d) for c in range(1, q)]
+        plus_x = [[encode(d[:i] + [d[i] + 1] + d[i + 1 :]) for d in digits] for i in range(n)]
+        self.add_table = add = [list(range(q))]
         for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self.inv_table = inv
+            add.append([plus_x[low[a]][c] for c in add[a - powers[low[a]]]])
+        self.neg_table = [encode(-c for c in digits[a]) for a in range(q)]
+        top = q // p
 
-    def add_inverse(self, a: int) -> int:
-        for b in range(self.q):
-            if self.add_table[a][b] == 0:
-                return b
-        raise ArithmeticError("additive inverse missing")
+        # candidate f = x^n + (the polynomial coded m): ascending m reads the
+        # digits as (c_{n-1}, ..., c_0), so candidates come in the order above;
+        # minus_f[k] is k x^n reduced mod f
+        for m in range(q):
+            minus_f = [encode(-k * c for c in digits[m]) for k in range(p)]
+            table = []
+            for a in range(q):
+                ax = [a]  # a x^i for i < n, by shift-and-reduce
+                for _ in range(n - 1):
+                    ax.append(add[ax[-1] % top * p][minus_f[ax[-1] // top]])
+                row = [0] * q
+                for b in range(1, q):
+                    i = low[b]
+                    row[b] = add[row[b - powers[i]]][ax[i]]
+                if a and 1 not in row:
+                    break  # a zero divisor: f is reducible
+                table.append(row)
+            else:
+                self.modulus = (*digits[m], 1)
+                self.mul_table = table
+                self.inv_table = [0] + [row.index(1) for row in table[1:]]
+                return
+        raise ArithmeticError(f"no irreducible polynomial of degree {n} over GF({p})")
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]

@@ -107,6 +107,25 @@ class TestSol:
         assert code == 0
         assert doc["items"][0]["sol_size"] == 256
 
+    def test_a_matrix_family_checks_its_degree_before_its_field(self, capsys, monkeypatch):
+        # PSL(2,256) and SL(2,17) fit the cap but not 256 points: no field is built
+        def field(p, n):
+            raise AssertionError(f"GF({p}^{n}) was built")
+
+        monkeypatch.setattr(families, "GF", field)
+        for token, degree in (("psl2:256", 257), ("sl2:17", 288)):
+            code, out, err = run(
+                capsys, "sol", "--family", token, "--order", "2", "--cap", "1000000000000"
+            )
+            assert code == 1, token
+            assert out == ""
+            assert f"degree {degree} exceeds 256" in err
+        monkeypatch.undo()
+        # SL(2,16) on its 255 nonzero vectors is the largest that fits
+        code, doc, _ = run_json(capsys, "sol", "--family", "sl2:16", "--order", "17")
+        assert code == 0
+        assert doc["params"]["group"] == "SL(2,16)"
+
     def test_every_family_token_names_its_family(self, capsys):
         small = {
             "cyclic": (4,),
@@ -338,18 +357,27 @@ class TestDeterminism:
                 ("sol", "--family", "sl2:5", "--order", "2", "--format", "json"),
                 "c42077708044a777893532dd14dddc09e4b7298a1317a10d3672ce384d3e9aa5",
             ),
+            (
+                ("sol", "--family", "psl2:9", "--order", "5", "--format", "json"),
+                "a3efdf0bf9a74b4d36d088e1469efadad0ab56f35f29a906803ca0f2dd53ffb1",
+            ),
+            (
+                ("sol", "--family", "psl2:27", "--order", "13", "--format", "json"),
+                "6c3b0b199854c6ff910a0278ec7e3a2adb3bf8bdb3e3001ed75d409c9e72c21c",
+            ),
         ],
         ids=[
             "verify-60", "table1", "verify-120", "classify-table2", "sol-psl2-7",
-            "sol-psl2-13", "sol-a7", "sol-sl2-5",
+            "sol-psl2-13", "sol-a7", "sol-sl2-5", "sol-psl2-9", "sol-psl2-27",
         ],
     )
     def test_report_bytes_are_frozen(self, capsys, argv, digest):
         # SHA-256 of the UTF-8 report, recorded at commit 663a38d (verify-60,
         # table1), c99781d (verify-120, classify-table2, sol-psl2-7),
-        # a3b1de9 (sol-psl2-13, sol-a7) and b35c016 (sol-sl2-5, the central
-        # -1): engine changes that only share or reuse work must not move a
-        # byte
+        # a3b1de9 (sol-psl2-13, sol-a7), b35c016 (sol-sl2-5, the central
+        # -1) and e9648d3 (sol-psl2-9, sol-psl2-27, over the non-prime fields
+        # GF(9) and GF(27)): engine changes that only share or reuse work
+        # must not move a byte
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
