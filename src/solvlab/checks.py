@@ -40,16 +40,21 @@ from .solubilizer import (
     soluble_radical,
 )
 
-CHECK_TOKENS = (
-    "conjecture",
-    "lemma32",
-    "eq1",
-    "ratio34",
-    "pq",
-    "lemma-sol",
-    "exp-bound",
-    "quotient",
-)
+# The check suites in report order: token -> name of the function that
+# writes the suite's flags into item["flags"], called as
+# fn(G, rep, record, item, cap).  A function is looked up by name when it
+# is called, so a wrapper set on this module (a span, a patch) is what runs.
+_SUITES = {
+    "conjecture": "_conjecture_flags",
+    "lemma32": "_lemma32_flags",
+    "eq1": "_eq1_flags",
+    "ratio34": "_ratio34_flags",
+    "pq": "_pq_flags",
+    "lemma-sol": "_lemma_sol_flags",
+    "exp-bound": "_exp_bound_flags",
+    "quotient": "_quotient_flags",
+}
+CHECK_TOKENS = tuple(_SUITES)
 
 
 # A counterexample entry: the failed flag's name and these fields of its item.
@@ -63,38 +68,20 @@ def _ratio_str(value: Fraction) -> str:
 
 
 def run_entry_checks(entry: CatalogEntry, checks: tuple[str, ...], cap: int = DEFAULT_CAP):
-    """All selected checks for one catalog entry.
+    """All selected checks for one catalog entry, in table order.
 
     Returns (items, counterexamples); tallies are derived by the caller
     from the flag values.
     """
     G = entry.group
-    soluble = entry.soluble
     reps = conjugacy_class_reps(G, cap)
-    records = {rep: sol_record(G, rep, cap) for rep in reps}
-    order = G.order()
-
-    needs_radical = "lemma-sol" in checks or "quotient" in checks
-    radical = soluble_radical(G, cap) if needs_radical else None
-    radical_members = (
-        enumerate_elements(radical, cap).raw_set() if radical is not None else None
-    )
-    quotient_runnable = (
-        "quotient" in checks
-        and radical is not None
-        and 1 < radical.order() < order
-    )
-
-    pq_verdicts: dict = {}
-    if "pq" in checks and not soluble:
-        for finding in pq_scan(G, cap):
-            pq_verdicts[finding.x._img] = finding
-
+    # Every record first: a suite may ask for C_G(g) of a later rep g, and
+    # only after N_G(<g>) is C_G(g) read from it when the two are equal.
+    records = [sol_record(G, rep, cap) for rep in reps]
+    selected = [name for token, name in _SUITES.items() if token in checks]
     items = []
     counterexamples = []
-    for rep in reps:
-        record = records[rep]
-        flags: dict = {}
+    for rep, record in zip(reps, records):
         item = {
             "group": entry.name,
             "element": format_cycles(rep),
@@ -105,85 +92,70 @@ def run_entry_checks(entry: CatalogEntry, checks: tuple[str, ...], cap: int = DE
             "ell_cx": record.ell_cx,
             "ell_nx": record.ell_nx,
             "ratio34": _ratio_str(record.ratio34),
-            "flags": flags,
+            "flags": {},
         }
-
-        if "conjecture" in checks:
-            flags["conjecture"] = record.conjecture_ok
-            finding = frobenius_structure(G, rep, cap)
-            if finding.is_frobenius_over_cx and finding.index_prime:
-                # Prime-index Frobenius normalizers are a proven instance,
-                # so a failure here is stronger than a bare conjecture miss.
-                flags["frobenius_instance"] = record.conjecture_ok
-            else:
-                flags["frobenius_instance"] = "skipped"
-        if "lemma32" in checks:
-            flags["lemma32_cx"] = lemma32_check(G, rep, record.c_x, cap) == 0
-            flags["lemma32_nx"] = lemma32_check(G, rep, record.n_x, cap) == 0
-            flags["burnside_cx"] = (
-                record.ell_cx == burnside_orbit_count(record.c_x, record.sol, cap)
-            )
-            # one count when N_G(<x>) is C_G(x): then ell_nx is ell_cx too
-            flags["burnside_nx"] = flags["burnside_cx"] if record.n_x is record.c_x else (
-                record.ell_nx == burnside_orbit_count(record.n_x, record.sol, cap)
-            )
-        if "eq1" in checks:
-            if soluble:
-                flags["eq1_cx"] = eq1_check(G, rep, record.c_x, cap) == 0
-                flags["eq1_nx"] = eq1_check(G, rep, record.n_x, cap) == 0
-            else:
-                flags["eq1_cx"] = "skipped"
-                flags["eq1_nx"] = "skipped"
-        if "ratio34" in checks:
-            flags["ratio34_integral"] = record.ratio34.denominator == 1
-        if "pq" in checks:
-            finding = pq_verdicts.get(rep._img)
-            if finding is None:
-                flags["pq"] = "skipped"
-            else:
-                flags["pq"] = finding.verdict
-                if not finding.verdict:
-                    item["pq_reasons"] = list(finding.reasons)
-            flags["sol_size_not_6"] = (
-                record.sol_size != 6 if not soluble else "skipped"
-            )
-        if "lemma-sol" in checks:
-            _lemma_sol_flags(G, rep, record, radical_members, flags, cap)
-        if "exp-bound" in checks:
-            if record.n_x.order() == order:
-                flags["exp_bound"] = "skipped"
-                flags["exp_bound_prime_square"] = "skipped"
-            else:
-                ell, ok = lemma_exp_bound(G, rep, cap)
-                flags["exp_bound"] = ok
-                x_order = rep.order()
-                if is_prime(x_order) and not record.equals_nx:
-                    flags["exp_bound_prime_square"] = (
-                        record.sol_size > x_order * x_order
-                    )
-                else:
-                    flags["exp_bound_prime_square"] = "skipped"
-        if "quotient" in checks:
-            if quotient_runnable:
-                flags["quotient"] = quotient_sol_check(G, radical, rep, cap)
-            else:
-                flags["quotient"] = "skipped"
-
-        for name, verdict in flags.items():
+        for name in selected:
+            globals()[name](G, rep, record, item, cap)
+        for check, verdict in item["flags"].items():
             if verdict is False:
-                fields = dict(item, check=name)
+                fields = dict(item, check=check)
                 counterexamples.append({key: fields[key] for key in _COUNTEREXAMPLE_KEYS})
         items.append(item)
     return items, counterexamples
 
 
-def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
+def _conjecture_flags(G, rep, record, item, cap) -> None:
+    flags = item["flags"]
+    flags["conjecture"] = record.conjecture_ok
+    finding = frobenius_structure(G, rep, cap)
+    # Prime-index Frobenius normalizers are a proven instance,
+    # so a failure there is stronger than a bare conjecture miss.
+    proven = finding.is_frobenius_over_cx and finding.index_prime
+    flags["frobenius_instance"] = record.conjecture_ok if proven else "skipped"
+
+
+def _lemma32_flags(G, rep, record, item, cap) -> None:
+    flags = item["flags"]
+    flags["lemma32_cx"] = lemma32_check(G, rep, record.c_x, cap) == 0
+    flags["lemma32_nx"] = lemma32_check(G, rep, record.n_x, cap) == 0
+    flags["burnside_cx"] = (
+        record.ell_cx == burnside_orbit_count(record.c_x, record.sol, cap)
+    )
+    # one count when N_G(<x>) is C_G(x): then ell_nx is ell_cx too
+    flags["burnside_nx"] = flags["burnside_cx"] if record.n_x is record.c_x else (
+        record.ell_nx == burnside_orbit_count(record.n_x, record.sol, cap)
+    )
+
+
+def _eq1_flags(G, rep, record, item, cap) -> None:
+    soluble = is_soluble(G)
+    for side, H in (("cx", record.c_x), ("nx", record.n_x)):
+        item["flags"][f"eq1_{side}"] = eq1_check(G, rep, H, cap) == 0 if soluble else "skipped"
+
+
+def _ratio34_flags(G, rep, record, item, cap) -> None:
+    item["flags"]["ratio34_integral"] = record.ratio34.denominator == 1
+
+
+def _pq_flags(G, rep, record, item, cap) -> None:
+    flags = item["flags"]
+    soluble = is_soluble(G)
+    findings = [] if soluble else pq_scan(G, cap)
+    finding = next((f for f in findings if f.x._img == rep._img), None)
+    flags["pq"] = "skipped" if finding is None else finding.verdict
+    if finding is not None and not finding.verdict:
+        item["pq_reasons"] = list(finding.reasons)
+    flags["sol_size_not_6"] = "skipped" if soluble else record.sol_size != 6
+
+
+def _lemma_sol_flags(G, rep, record, item, cap) -> None:
     """Divisibility, invariance and structure properties of one solubilizer.
 
     The invariance flag compares the record with the orbit-reduced scans for
     the generators of <x>.  The equivariance flag rescans a conjugate
     of x with sol_set_exhaustive, so every representative's reduced set is
     also checked against the independent oracle."""
+    flags = item["flags"]
     sol = record.sol
     order = G.order()
     flags["cx_divides_sol"] = record.sol_size % record.c_x.order() == 0
@@ -200,9 +172,8 @@ def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
     expected = {_conj(t, conjugator) for t in sol.raw()}
     flags["sol_conjugation_equivariant"] = moved.raw_set() == expected
 
-    flags["radical_iff_sol_whole"] = (record.sol_size == order) == (
-        rep._img in radical_members
-    )
+    radical = enumerate_elements(soluble_radical(G, cap), cap).raw_set()
+    flags["radical_iff_sol_whole"] = (record.sol_size == order) == (rep._img in radical)
     flags["prime_sol_size_forces_prime_group"] = (
         not is_prime(record.sol_size) or order == record.sol_size
     )
@@ -220,6 +191,25 @@ def _lemma_sol_flags(G, rep, record, radical_members, flags, cap) -> None:
         flags["no_selfnormalizing_prime_cyclic"] = record.n_x.order() > x_order
     else:
         flags["no_selfnormalizing_prime_cyclic"] = "skipped"
+
+
+def _exp_bound_flags(G, rep, record, item, cap) -> None:
+    flags = item["flags"]
+    if record.n_x.order() == G.order():
+        flags["exp_bound"] = "skipped"  # then sol is N_G(<x>), so the square test skips too
+    else:
+        flags["exp_bound"] = lemma_exp_bound(G, rep, cap)[1]
+    x_order = rep.order()
+    if is_prime(x_order) and not record.equals_nx:
+        flags["exp_bound_prime_square"] = record.sol_size > x_order * x_order
+    else:
+        flags["exp_bound_prime_square"] = "skipped"
+
+
+def _quotient_flags(G, rep, record, item, cap) -> None:
+    radical = soluble_radical(G, cap)
+    runs = 1 < radical.order() < G.order()
+    item["flags"]["quotient"] = quotient_sol_check(G, radical, rep, cap) if runs else "skipped"
 
 
 def _spec_task(args):

@@ -26,6 +26,7 @@ from .errors import (
     NotNormal,
     OrderExceedsCap,
 )
+from .numtheory import factorize
 from .perm import (
     Images,
     Permutation,
@@ -322,7 +323,8 @@ class PermGroup:
 
     Instances are immutable after construction; the private cache only holds
     results of pure computations: "elements", "classes", "soluble",
-    "abelian"; by member set, "subgroups" (may hold G, see _subgroup_of),
+    "abelian", "radical" (the soluble radical), "pq" (pq_scan's findings);
+    by member set, "subgroups" (may hold G, see _subgroup_of),
     "quotient", "orbit_count" and "nx_orbit_reps"; per member x,
     "centralizer", "normalizer_of_cyclic", "powers" (<x>'s members),
     "sol_set", "sol_record"; per pair, "n_value".  No pair verdicts.
@@ -706,8 +708,6 @@ def _abelian_invariants(G: PermGroup, cap: int) -> list[int]:
     partition shaping the p-primary component; aligned parts across primes
     multiply into the invariant factors.
     """
-    from .numtheory import factorize
-
     n = G.order()
     if n == 1:
         return []
@@ -751,8 +751,6 @@ def structure_tag(G: PermGroup, cap: int = DEFAULT_CAP) -> str:
     package: cyclic, abelian products, S_3, dihedral, metacyclic C_q:C_p,
     and A_5.  Anything else falls back to an order label.
     """
-    from .numtheory import factorize
-
     n = G.order()
     if n == 1:
         return "1"

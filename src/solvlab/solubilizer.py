@@ -37,11 +37,9 @@ from .group import (
     DEFAULT_CAP,
     ElementSet,
     PermGroup,
-    StabilizerChain,
     _certificate_chain,
     _conjugation_orbits,
     _cyclic_images,
-    _derived_gens,
     _memo,
     _soluble_from_gens,
     _subgroup_gens,
@@ -100,29 +98,14 @@ def _pair_soluble(G: PermGroup, a: Images, b: Images) -> bool:
     group._certificate_chain reaches |G|, H = G and G's own flag decides;
     every other pair walks the derived series of H
     (group._soluble_from_gens), which needs no group order.
-    _pair_soluble_chain, the test by verified chains, is the oracle.
+    The oracle, a test by verified chains, is pair_soluble_chain in
+    tests/conftest.py.
     """
     if _conj(a, b) in _powers_set(G, a) or _conj(b, a) in _powers_set(G, b):
         return True
     if _certificate_chain(G.degree, [a, b], G.order()).order() == G.order():
         return is_soluble(G)
     return _soluble_from_gens(G.degree, [a, b])
-
-
-def _pair_soluble_chain(G: PermGroup, a: Images, b: Images) -> bool:
-    """The same verdict as _pair_soluble, by one verified chain's order per
-    term of the derived series of <a, b>: soluble once a term is trivial,
-    insoluble once the order stops falling.  Not memoized, and blind to the
-    certificate and the walk; it is the oracle that checks _pair_soluble."""
-    gens = [a, b]
-    order = StabilizerChain(G.degree, gens).order()
-    while order > 1:
-        gens, _ = _derived_gens(G.degree, gens)
-        derived_order = StabilizerChain(G.degree, gens).order()
-        if derived_order == order:
-            return False
-        order = derived_order
-    return True
 
 
 def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
@@ -249,25 +232,30 @@ def soluble_radical(G: PermGroup, cap: int = DEFAULT_CAP) -> PermGroup:
     Scans one representative per conjugacy class (the solubilizer of a
     conjugate is the conjugated solubilizer, so the property is
     class-constant) and collects whole classes; for soluble G that is G itself.
+    Memoized per group.
     """
     whole = enumerate_elements(G, cap)
-    members: list[Images] = []
-    for rep in conjugacy_class_reps(G, cap):
-        if len(sol_set(G, rep, cap)) == len(whole):
-            members.extend(class_of_rep(G, rep, cap).raw())
-    radical = _subgroup_of(G, members or [_identity(G.degree)])
-    if radical is not G and not is_normal(G, radical):
-        raise EngineInvariantViolated("the soluble radical must be normal")
-    if not is_soluble(radical):
-        raise EngineInvariantViolated("the soluble radical must be soluble")
-    if not all(
-        len(sol_set(G, Permutation._from_images(t), cap)) == len(whole)
-        for t in members
-    ):
-        raise EngineInvariantViolated(
-            "every member of the soluble radical must have the whole group as solubilizer"
-        )
-    return radical
+
+    def radical() -> PermGroup:
+        members: list[Images] = []
+        for rep in conjugacy_class_reps(G, cap):
+            if len(sol_set(G, rep, cap)) == len(whole):
+                members.extend(class_of_rep(G, rep, cap).raw())
+        subgroup = _subgroup_of(G, members or [_identity(G.degree)])
+        if subgroup is not G and not is_normal(G, subgroup):
+            raise EngineInvariantViolated("the soluble radical must be normal")
+        if not is_soluble(subgroup):
+            raise EngineInvariantViolated("the soluble radical must be soluble")
+        if not all(
+            len(sol_set(G, Permutation._from_images(t), cap)) == len(whole)
+            for t in members
+        ):
+            raise EngineInvariantViolated(
+                "every member of the soluble radical must have the whole group as solubilizer"
+            )
+        return subgroup
+
+    return _memo(G._cache, "radical", radical)
 
 
 def _generator_classes(Y: ElementSet) -> tuple[tuple[Images, int], ...]:
@@ -542,33 +530,39 @@ def pq_scan(G: PermGroup, cap: int = DEFAULT_CAP) -> list[PqFinding]:
     p dividing q - 1, p distinct from q, the solubilizer must be a subgroup
     equal to the cyclic normalizer, and its size must not be 6.  Returns one
     finding per semiprime instance; all verdicts are expected true.
+    Memoized per group; each call returns a new list of the findings.
     """
     if is_soluble(G):
         raise GroupSoluble("the semiprime analysis applies to insoluble groups only")
-    findings: list[PqFinding] = []
-    for x in conjugacy_class_reps(G, cap):
-        if x.is_identity():
-            continue
-        record = sol_record(G, x, cap)
-        fac = factorize(record.sol_size)
-        if sum(fac.values()) != 2:
-            continue
-        primes = sorted(fac)
-        p, q = (primes[0], primes[0]) if len(primes) == 1 else (primes[0], primes[1])
-        reasons = []
-        if x.order() != q:
-            reasons.append(f"element order {x.order()} != larger prime {q}")
-        if q <= 3:
-            reasons.append(f"larger prime {q} is not > 3")
-        if p == q:
-            reasons.append(f"solubilizer size is the prime square {p * q}")
-        elif (q - 1) % p != 0:
-            reasons.append(f"{p} does not divide {q - 1}")
-        if not record.is_subgroup:
-            reasons.append("solubilizer is not a subgroup")
-        if not record.equals_nx:
-            reasons.append("solubilizer differs from the cyclic normalizer")
-        if record.sol_size == 6:
-            reasons.append("solubilizer size 6 is excluded")
-        findings.append(PqFinding(x, p, q, not reasons, tuple(reasons)))
-    return findings
+    enumerate_elements(G, cap)
+
+    def scan() -> tuple[PqFinding, ...]:
+        findings: list[PqFinding] = []
+        for x in conjugacy_class_reps(G, cap):
+            if x.is_identity():
+                continue
+            record = sol_record(G, x, cap)
+            fac = factorize(record.sol_size)
+            if sum(fac.values()) != 2:
+                continue
+            primes = sorted(fac)
+            p, q = (primes[0], primes[0]) if len(primes) == 1 else (primes[0], primes[1])
+            reasons = []
+            if x.order() != q:
+                reasons.append(f"element order {x.order()} != larger prime {q}")
+            if q <= 3:
+                reasons.append(f"larger prime {q} is not > 3")
+            if p == q:
+                reasons.append(f"solubilizer size is the prime square {p * q}")
+            elif (q - 1) % p != 0:
+                reasons.append(f"{p} does not divide {q - 1}")
+            if not record.is_subgroup:
+                reasons.append("solubilizer is not a subgroup")
+            if not record.equals_nx:
+                reasons.append("solubilizer differs from the cyclic normalizer")
+            if record.sol_size == 6:
+                reasons.append("solubilizer size 6 is excluded")
+            findings.append(PqFinding(x, p, q, not reasons, tuple(reasons)))
+        return tuple(findings)
+
+    return list(_memo(G._cache, "pq", scan))

@@ -4,7 +4,7 @@ import pytest
 
 from solvlab.checks import CHECK_TOKENS, run_catalog_checks
 from solvlab.families import CatalogEntry, FamilySpec
-from solvlab.group import PermGroup, enumerate_elements
+from solvlab.group import PermGroup, StabilizerChain, _derived_gens, enumerate_elements
 
 
 def _entry(family, *params):
@@ -91,3 +91,19 @@ def ref_conj(p, g):
     for i, j in enumerate(p):
         r[g[i]] = g[j]
     return tuple(r)
+
+
+def pair_soluble_chain(G, a, b):
+    """The verdict of solubilizer._pair_soluble on raw images a and b, by one
+    verified chain's order per term of the derived series of <a, b>: soluble
+    once a term is trivial, insoluble once the order stops falling.  Blind to
+    the certificate and the walk; reads nothing of G but its degree."""
+    gens = [a, b]
+    order = StabilizerChain(G.degree, gens).order()
+    while order > 1:
+        gens, _ = _derived_gens(G.degree, gens)
+        derived_order = StabilizerChain(G.degree, gens).order()
+        if derived_order == order:
+            return False
+        order = derived_order
+    return True

@@ -1,5 +1,6 @@
 """The catalog sweep's per-entry checks, on paths a correct engine never takes,
-the Burnside counts they make, and the worker count of a parallel sweep."""
+the Burnside counts they make, the suite table, and the worker count of a
+parallel sweep."""
 
 import concurrent.futures
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import solvlab.solubilizer
 from solvlab import checks
 from solvlab.cycles import parse_cycles
 from solvlab.families import CatalogEntry, FamilySpec, builtin_specs
@@ -20,11 +22,11 @@ from solvlab.solubilizer import sol_record
 from conftest import brute_burnside_count
 
 
-def load_perfbench_workload():
-    """perfbench/workload.py as a module, loaded without writing bytecode
+def load_perfbench(name):
+    """perfbench/<name>.py as a module, loaded without writing bytecode
     next to it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workload", path)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -89,6 +91,92 @@ class TestBurnsideCounts:
             )
 
 
+# S4 is soluble; A5 and SL(2,5) are not, and SL(2,5) is the one catalog group
+# whose quotient suite runs (its radical is its centre, of order 2).
+SUITE_GROUPS = [
+    FamilySpec("symmetric", (4,)),
+    FamilySpec("alternating", (5,)),
+    FamilySpec("sl2", (5,)),
+]
+
+
+def fresh_items(spec, tokens):
+    """The items of one run on a newly built group, so that no per-group
+    fact is left in the memo by an earlier run."""
+    items, _ = checks.run_entry_checks(CatalogEntry.from_spec(spec), tokens)
+    return items
+
+
+class TestSuiteTable:
+    @pytest.mark.parametrize("spec", SUITE_GROUPS, ids=lambda spec: spec.name())
+    def test_each_suite_alone_gives_its_part_of_the_full_run(self, spec):
+        full = fresh_items(spec, checks.CHECK_TOKENS)
+        alone = {token: fresh_items(spec, (token,)) for token in checks.CHECK_TOKENS}
+        for i, item in enumerate(full):
+            flags = []
+            for token, items in alone.items():
+                part = items[i]
+                assert dict(part, flags=None, pq_reasons=None) == dict(
+                    item, flags=None, pq_reasons=None
+                )
+                if token == "pq":
+                    assert part.get("pq_reasons") == item.get("pq_reasons")
+                else:
+                    assert "pq_reasons" not in part
+                flags.extend(part["flags"].items())
+            # the suites' flags, concatenated in table order, are the full run's
+            assert flags == list(item["flags"].items())
+
+    @pytest.mark.parametrize("spec", SUITE_GROUPS, ids=lambda spec: spec.name())
+    def test_the_selection_order_does_not_matter(self, spec):
+        forward = fresh_items(spec, ("conjecture", "quotient"))
+        backward = fresh_items(spec, ("quotient", "conjecture"))
+        assert backward == forward
+        for item in backward:
+            assert list(item["flags"]) == ["conjecture", "frobenius_instance", "quotient"]
+        ran = [item["flags"]["quotient"] for item in backward]
+        assert (True in ran) == (spec.family == "sl2")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FamilySpec("dihedral", (12,)), FamilySpec("agl1", (7,)), *SUITE_GROUPS],
+        ids=lambda spec: spec.name(),
+    )
+    def test_no_centralizer_is_filtered_that_its_normalizer_gives(self, spec, monkeypatch):
+        # normalizer_of_cyclic stores N_G(<x>) as C_G(x) when they are equal,
+        # so every record is built before a suite asks for the C_G(g) of
+        # another representative g, and G's element list is filtered once
+        entry = CatalogEntry.from_spec(spec)
+        G = entry.group
+        filtered = []
+        real_centralizer = solvlab.solubilizer.centralizer
+
+        def centralizer(H, x, cap):
+            if H is G and x._img not in G._cache.get("centralizer", {}):
+                filtered.append(x._img)
+            return real_centralizer(H, x, cap)
+
+        monkeypatch.setattr(solvlab.solubilizer, "centralizer", centralizer)
+        checks.run_entry_checks(entry, checks.CHECK_TOKENS)
+        normalizers, centralizers = G._cache["normalizer_of_cyclic"], G._cache["centralizer"]
+        assert [t for t in filtered if normalizers.get(t) is centralizers[t]] == []
+
+    def test_every_suite_span_records_calls(self):
+        # perfbench/spans.py wraps each suite by setting an attribute of
+        # checks; a table that held the functions themselves would run
+        # around the wrapper, and the span would count nothing
+        tracer = load_perfbench("spans").Tracer()
+        try:
+            tracer.install()
+            for spec in (FamilySpec("symmetric", (4,)), FamilySpec("sl2", (5,))):
+                checks.run_entry_checks(CatalogEntry.from_spec(spec), checks.CHECK_TOKENS)
+        finally:
+            tracer.uninstall()
+        names = [f"checks.{token}" for token in checks.CHECK_TOKENS]
+        names += ["checks.records", "checks.radical"]
+        assert [name for name in names if not tracer.calls[name]] == []
+
+
 class InlineExecutor:
     """Stands in for ProcessPoolExecutor: records max_workers and runs each
     task at once in this process, so no worker is ever started."""
@@ -145,7 +233,7 @@ class TestRelabelledSweep:
         # Renumbering the points conjugates every group by a permutation of
         # them, so each class keeps its cycle type and every number and flag
         # of its row; only the representative's cycles move.
-        relabelled_entry = load_perfbench_workload().relabelled_entry
+        relabelled_entry = load_perfbench("workload").relabelled_entry
         specs = [
             FamilySpec("alternating", (5,)),
             FamilySpec("symmetric", (4,)),

@@ -43,7 +43,13 @@ from solvlab.group import (
     structure_tag,
 )
 from solvlab.perm import Permutation, _mul
-from solvlab.solubilizer import sol_record, sol_set, sol_set_exhaustive, soluble_radical
+from solvlab.solubilizer import (
+    pq_scan,
+    sol_record,
+    sol_set,
+    sol_set_exhaustive,
+    soluble_radical,
+)
 
 from conftest import brute_center, brute_point_stabilizer
 
@@ -504,7 +510,7 @@ class TestMemoContract:
 
     @pytest.mark.parametrize(
         "family,params,extra",
-        [("alternating", (5,), set()), ("sl2", (5,), {"quotient"})],
+        [("alternating", (5,), {"pq"}), ("sl2", (5,), {"pq", "quotient"})],
     )
     def test_the_cache_holds_only_the_documented_tables(self, family, params, extra):
         # the tables the PermGroup docstring names; no pair verdicts among them
@@ -513,8 +519,20 @@ class TestMemoContract:
         assert set(entry.group._cache) == {
             "abelian", "centralizer", "classes", "elements", "n_value",
             "normalizer_of_cyclic", "nx_orbit_reps", "orbit_count", "powers",
-            "sol_record", "sol_set", "soluble", "subgroups",
+            "radical", "sol_record", "sol_set", "soluble", "subgroups",
         } | extra
+
+    def test_the_per_group_findings_are_stored_and_still_check_the_cap(self):
+        G = CatalogEntry.from_spec(FamilySpec("sl2", (5,))).group
+        radical, findings = soluble_radical(G), pq_scan(G)
+        assert G._cache["radical"] is radical
+        assert soluble_radical(G) is radical
+        assert pq_scan(G) == findings
+        # each call gets its own list, so no caller can change the stored one
+        assert pq_scan(G) is not findings
+        for function in (soluble_radical, pq_scan):
+            with pytest.raises(OrderExceedsCap):
+                function(G, cap=G.order() - 1)
 
     def test_an_equal_normalizer_is_stored_as_the_centralizer(self, monkeypatch):
         # an involution of A5: C_G(x) = N_G(<x>) = V4, and G's element list

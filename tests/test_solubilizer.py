@@ -55,7 +55,6 @@ from solvlab.solubilizer import (
     _generator_classes,
     _nx_orbit_reps,
     _pair_soluble,
-    _pair_soluble_chain,
     burnside_orbit_count,
     eq1_check,
     frobenius_structure,
@@ -71,7 +70,7 @@ from solvlab.solubilizer import (
     soluble_radical,
 )
 
-from conftest import brute_burnside_count, brute_center
+from conftest import brute_burnside_count, brute_center, pair_soluble_chain
 
 
 def records_of(G):
@@ -306,10 +305,10 @@ class TestReducedScanAgainstOracle:
 
 class TestPairTestAgainstChainOracle:
     """_pair_soluble decides by a generation certificate and a derived-series
-    walk on unverified chains; _pair_soluble_chain verifies one stabilizer
+    walk on unverified chains; pair_soluble_chain verifies one stabilizer
     chain per term of the derived series.
 
-    Each side runs on its own copy of the group; _pair_soluble_chain reads
+    Each side runs on its own copy of the group; pair_soluble_chain reads
     nothing of G but its degree.
     """
 
@@ -329,7 +328,7 @@ class TestPairTestAgainstChainOracle:
             for rep in conjugacy_class_reps(G)
             for g in enumerate_elements(G).raw()
             if _pair_soluble(G, rep._img, g)
-            != _pair_soluble_chain(oracle_copy, rep._img, g)
+            != pair_soluble_chain(oracle_copy, rep._img, g)
         ]
         assert wrong == []
 
@@ -346,7 +345,7 @@ class TestPairTestAgainstChainOracle:
         a, b = (Permutation(p)._img for p in drawn)
         n = len(a)
         G, oracle_copy = fresh("symmetric", n), fresh("symmetric", n)
-        assert _pair_soluble(G, a, b) == _pair_soluble_chain(oracle_copy, a, b)
+        assert _pair_soluble(G, a, b) == pair_soluble_chain(oracle_copy, a, b)
 
     def test_walk_takes_both_insoluble_exits_on_s5(self, monkeypatch):
         # The walk calls a term K perfect when K's generators sift to the
