@@ -18,13 +18,14 @@ from .cycles import format_cycles
 from .families import CatalogEntry, builtin_specs
 from .group import (
     DEFAULT_CAP,
+    _noncommuting_pair,
     enumerate_elements,
     conjugacy_class_reps,
     is_abelian,
     is_soluble,
 )
 from .numtheory import is_prime
-from .perm import Permutation, _commutes, _conj
+from .perm import Permutation, _conj
 from .solubilizer import (
     _cyclic_generators,
     burnside_orbit_count,
@@ -178,13 +179,9 @@ def _lemma_sol_flags(G, rep, record, item, cap) -> None:
         not is_prime(record.sol_size) or order == record.sol_size
     )
 
-    if is_abelian(G):
-        flags["noncommuting_pair_in_sol"] = "skipped"
-    else:
-        raw = sol.raw()
-        flags["noncommuting_pair_in_sol"] = not all(
-            _commutes(a, b) for a in raw for b in raw
-        )
+    flags["noncommuting_pair_in_sol"] = (
+        "skipped" if is_abelian(G) else _noncommuting_pair(G.degree, sol.raw())
+    )
 
     x_order = rep.order()
     if not is_soluble(G) and is_prime(x_order):

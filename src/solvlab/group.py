@@ -441,7 +441,7 @@ def enumerate_elements(G: PermGroup, cap: int = DEFAULT_CAP) -> ElementSet:
 
 
 def _normal_closure_gens(
-    degree: int, ambient_gens: list[Images], seeds: list[Images]
+    degree: int, ambient_gens: list[Images], seeds: Sequence[Images]
 ) -> tuple[list[Images], StabilizerChain]:
     """Generators of the normal closure of seeds under ambient_gens, and their chain.
 
@@ -499,10 +499,20 @@ def is_soluble(G: PermGroup) -> bool:
     )
 
 
+def _commuting(gens: Sequence[Images]) -> bool:
+    """Whether the elements commute pairwise, that is, whether <gens> is abelian."""
+    return all(_commutes(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
+
+
+def _noncommuting_pair(degree: int, members: Sequence[Images]) -> bool:
+    """Whether <members> is not abelian, that is, whether two members fail to
+    commute: exactly when two of the members that grow one chain, which
+    generate <members>, fail to commute."""
+    return not _commuting(_normal_closure_gens(degree, [], members)[0])
+
+
 def is_abelian(G: PermGroup) -> bool:
-    gens = [g._img for g in G.generators]
-    pairs = ((a, b) for i, a in enumerate(gens) for b in gens[i + 1 :])
-    return _memo(G._cache, "abelian", lambda: all(_commutes(a, b) for a, b in pairs))
+    return _memo(G._cache, "abelian", lambda: _commuting([g._img for g in G.generators]))
 
 
 def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -521,8 +531,8 @@ def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGro
 def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
     """N_G(<x>), elements g with x^g a power of x, by exhaustive filtration.
 
-    C_G(x) <= N_G(<x>), so when every member commutes with x the two are one
-    group, and one object is memoized as both (C_G(x)'s, if it is already).
+    C_G(x) <= N_G(<x>), so when N_G(<x>)'s generators commute with x the two
+    are one group, and its one object (see _subgroup_of) is memoized as both.
     """
     elements = enumerate_elements(G, cap)
     xt = x._img
@@ -531,10 +541,10 @@ def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -
         if xt not in elements.raw_set():
             raise NotInGroup("x is not a member of G")
         powers = set(_cyclic_images(xt))
-        members = [t for t in elements.raw() if _conj(xt, t) in powers]
-        if not all(_commutes(t, xt) for t in members):
-            return _subgroup_of(G, members)
-        return _memo(_memo(G._cache, "centralizer", dict), xt, lambda: _subgroup_of(G, members))
+        n_x = _subgroup_of(G, [t for t in elements.raw() if _conj(xt, t) in powers])
+        if all(_commutes(g._img, xt) for g in n_x.generators):
+            _memo(_memo(G._cache, "centralizer", dict), xt, lambda: n_x)
+        return n_x
 
     return _memo(_memo(G._cache, "normalizer_of_cyclic", dict), xt, filtration)
 
@@ -550,12 +560,17 @@ def _cyclic_images(x: Images) -> list[Images]:
     return out
 
 
-def _conjugation_orbits(gens: list[Images], members: ElementSet) -> list[list[Images]] | None:
-    """The orbits of conjugation by gens on members, or None if one leaves them.
+def _orbits(
+    gens: list[Images], members: ElementSet, left: Sequence[Images] = ()
+) -> list[list[Images]] | None:
+    """The orbits on members of conjugation by gens and of multiplication on
+    the left by the elements of left; None if an image leaves members.
 
     members are walked in canonical order, so each orbit is led by its least
     member and the orbits come in the order of their leaders.
     """
+    # each map is u -> a u b, or u -> a u when b is None; g^-1 u g conjugates by g
+    maps = [(_inv(g), g) for g in gens] + [(a, None) for a in left]
     inside = members.raw_set()
     seen: set[Images] = set()
     orbits: list[list[Images]] = []
@@ -565,8 +580,8 @@ def _conjugation_orbits(gens: list[Images], members: ElementSet) -> list[list[Im
         seen.add(t)
         orbit = [t]
         for u in orbit:
-            for g in gens:
-                c = _conj(u, g)
+            for a, b in maps:
+                c = _mul(a, u) if b is None else _mul(_mul(a, u), b)
                 if c not in seen:
                     if c not in inside:
                         return None
@@ -580,7 +595,7 @@ def _class_partition(G: PermGroup, cap: int) -> tuple[list[Images], dict[Images,
     elements = enumerate_elements(G, cap)
 
     def partition() -> tuple[list[Images], dict[Images, ElementSet]]:
-        orbits = _conjugation_orbits([g._img for g in G.generators], elements)
+        orbits = _orbits([g._img for g in G.generators], elements)
         classes = {orbit[0]: ElementSet(G.degree, orbit) for orbit in orbits}
         return sorted(classes, key=lambda t: (_order(t), t)), classes
 
@@ -606,11 +621,9 @@ def class_of_rep(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> Elemen
 
 
 def first_element_of_order(G: PermGroup, k: int, cap: int = DEFAULT_CAP) -> Permutation | None:
-    """The least element of order k, if any.
-
-    Each class is led by its least member and conjugacy_class_reps sorts
-    the reps by (order, encoding), so this is its first rep of order k.
-    """
+    """The least element of order k in canonical order, if any, by a scan of
+    the element list.  Each class is led by its least member, so this is
+    also conjugacy_class_reps' first rep of order k."""
     for t in enumerate_elements(G, cap).raw():
         if _order(t) == k:
             return Permutation._from_images(t)

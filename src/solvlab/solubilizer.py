@@ -38,9 +38,9 @@ from .group import (
     ElementSet,
     PermGroup,
     _certificate_chain,
-    _conjugation_orbits,
     _cyclic_images,
     _memo,
+    _orbits,
     _soluble_from_gens,
     _subgroup_gens,
     _subgroup_of,
@@ -54,7 +54,7 @@ from .group import (
     quotient_by_normal,
 )
 from .numtheory import factorize, is_prime
-from .perm import Images, Permutation, _commutes, _conj, _identity, _mul, _order
+from .perm import Images, Permutation, _commutes, _conj, _identity, _order
 
 __all__ = [
     "SolubilizerRecord",
@@ -114,10 +114,10 @@ def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
     Exact, with one pair test per orbit of two maps: g -> xg, which leaves
     <x, g> unchanged, and g -> n^-1 g n for the generators n of N_G(<x>),
     which conjugates <x, g> by n, fixing <x>.  So every member of an orbit
-    has the verdict of the one pair that is tested.  g -> gx adds nothing:
-    gx = (xg)^x, and x lies in the group the generators n generate.  The
-    one shortcut is soluble G.  Memoized per group, keyed by x;
-    sol_set_exhaustive is the oracle.
+    (group._orbits) has the verdict of its leader, the one pair that is
+    tested.  g -> gx adds nothing: gx = (xg)^x, and x lies in the group the
+    generators n generate.  The one shortcut is soluble G.  Memoized per
+    group, keyed by x; sol_set_exhaustive is the oracle.
     """
     elements = enumerate_elements(G, cap)
     xt = x._img
@@ -133,21 +133,12 @@ def sol_set(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
 def _orbit_scan(G: PermGroup, x: Permutation, elements: ElementSet, cap: int) -> ElementSet:
     xt = x._img
     n_gens = [n._img for n in normalizer_of_cyclic(G, x, cap).generators]
-    verdicts: dict[Images, bool] = {}
-    for g in elements.raw():
-        if g in verdicts:
-            continue
-        verdict = _pair_soluble(G, xt, g)
-        verdicts[g] = verdict
-        frontier = [g]
-        while frontier:
-            y = frontier.pop()
-            for z in (_mul(xt, y), *(_conj(y, n) for n in n_gens)):
-                if z not in verdicts:
-                    verdicts[z] = verdict
-                    frontier.append(z)
+    soluble: set[Images] = set()
+    for orbit in _orbits(n_gens, elements, [xt]):
+        if _pair_soluble(G, xt, orbit[0]):
+            soluble.update(orbit)
     # the element list's canonical images, not the orbit's copies
-    return ElementSet(G.degree, (t for t in elements.raw() if verdicts[t]))
+    return ElementSet(G.degree, (t for t in elements.raw() if t in soluble))
 
 
 def sol_set_exhaustive(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
@@ -289,7 +280,7 @@ def orbit_count(H: PermGroup, Y: ElementSet) -> int:
         raise NotInvariantSet("acting group and set have different degrees")
 
     def count() -> int:
-        orbits = _conjugation_orbits([h._img for h in H.generators], Y)
+        orbits = _orbits([h._img for h in H.generators], Y)
         if orbits is None:
             raise NotInvariantSet("set is not closed under conjugation by the acting group")
         return len(orbits)
@@ -362,7 +353,7 @@ def _nx_orbit_reps(n_x: PermGroup, H: PermGroup, cap: int) -> tuple[Permutation,
     elements = enumerate_elements(H, cap)
 
     def reps() -> tuple[Permutation, ...]:
-        orbits = _conjugation_orbits([h._img for h in n_x.generators], elements)
+        orbits = _orbits([h._img for h in n_x.generators], elements)
         if orbits is None:
             raise SubgroupChainViolated(
                 "H is not invariant under conjugation by the cyclic normalizer"
@@ -446,22 +437,20 @@ def frobenius_structure(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) ->
 
     The finding is positive iff c_x is a proper normal subgroup of n_x and
     no element of c_x other than the identity commutes with any element of
-    n_x outside c_x.
+    n_x outside c_x, which orbit counts decide.  The commuting pairs (h, c),
+    h in n_x and c != 1 in c_x, number |n_x| times the n_x-orbits on c_x
+    minus the identity (Cauchy-Frobenius).  Counted by h, those with h in
+    c_x number |c_x| times (the classes of c_x, minus one), and pairs with h
+    outside c_x exist exactly when the finding fails.
     """
     c_x = centralizer(G, x, cap)
     n_x = normalizer_of_cyclic(G, x, cap)
-    cx_members = enumerate_elements(c_x, cap).raw_set()
-    nx_members = enumerate_elements(n_x, cap).raw()
     index = n_x.order() // c_x.order()
     # c_x is normal in n_x: n in n_x maps x to a generator of <x>, whose
     # centralizer is c_x
-    idn = _identity(G.degree)
-    frobenius = index > 1 and not any(
-        _commutes(h, c)
-        for h in nx_members
-        if h not in cx_members
-        for c in cx_members
-        if c != idn
+    frobenius = index > 1 and (
+        n_x.order() * len(_nx_orbit_reps(n_x, c_x, cap))
+        == c_x.order() * (orbit_count(c_x, enumerate_elements(c_x, cap)) - 1)
     )
     return FrobeniusFinding(
         is_frobenius_over_cx=frobenius,

@@ -28,6 +28,20 @@ def brute_burnside_count(H, Y):
     return total // len(members)
 
 
+def brute_frobenius(members, x):
+    """C_G(x) and N_G(<x>) by testing every member of G, and whether N_G(<x>)
+    is Frobenius over C_G(x) by testing every pair (h, c) with h outside
+    C_G(x) and c != 1 in it."""
+    powers = {x**k for k in range(x.order())}
+    c_x = {g for g in members if g * x == x * g}
+    n_x = {g for g in members if x.conjugate_by(g) in powers}
+    outside = n_x - c_x
+    frobenius = bool(outside) and not any(
+        h * c == c * h for h in outside for c in c_x if not c.is_identity()
+    )
+    return c_x, n_x, frobenius
+
+
 def brute_point_stabilizer(G, point):
     """The members fixing a 1-based point, by brute force."""
     return PermGroup(G.degree, [g for g in enumerate_elements(G) if g(point) == point])
@@ -91,6 +105,12 @@ def ref_conj(p, g):
     for i, j in enumerate(p):
         r[g[i]] = g[j]
     return tuple(r)
+
+
+def brute_noncommuting_pair(members):
+    """Whether two of the raw images fail to commute, by testing every pair
+    with the tuple product."""
+    return not all(ref_mul(a, b) == ref_mul(b, a) for a in members for b in members)
 
 
 def pair_soluble_chain(G, a, b):

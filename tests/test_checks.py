@@ -14,12 +14,18 @@ import pytest
 
 import solvlab.solubilizer
 from solvlab import checks
-from solvlab.cycles import parse_cycles
+from solvlab.cycles import format_cycles, parse_cycles
 from solvlab.families import CatalogEntry, FamilySpec, builtin_specs
-from solvlab.group import conjugacy_class_reps
-from solvlab.solubilizer import sol_record
+from solvlab.group import (
+    _noncommuting_pair,
+    centralizer,
+    conjugacy_class_reps,
+    enumerate_elements,
+    is_abelian,
+)
+from solvlab.solubilizer import sol_record, sol_set
 
-from conftest import brute_burnside_count
+from conftest import brute_burnside_count, brute_noncommuting_pair
 
 
 def load_perfbench(name):
@@ -98,6 +104,56 @@ SUITE_GROUPS = [
     FamilySpec("alternating", (5,)),
     FamilySpec("sl2", (5,)),
 ]
+
+
+class TestNoncommutingPair:
+    """group._noncommuting_pair, which tests only the members that grow one
+    chain, against the test of every pair."""
+
+    @pytest.mark.parametrize("fixture", ["s4", "a5", "sl2_5"])
+    def test_random_member_sets_give_both_answers(self, fixture, request):
+        G = request.getfixturevalue(fixture)
+        members = enumerate_elements(G).raw()
+        # abelian centralizers give sets whose members all commute
+        abelian = [
+            enumerate_elements(C).raw()
+            for C in (centralizer(G, x) for x in conjugacy_class_reps(G))
+            if is_abelian(C)
+        ]
+        rng = random.Random(27)
+        answers = Counter()
+        for _ in range(200):
+            inside = list(rng.choice(abelian))
+            candidates = [
+                rng.sample(members, rng.randint(1, 6)),
+                rng.sample(inside, rng.randint(1, len(inside))),
+                # one member that may or may not commute with the rest
+                rng.sample(inside, rng.randint(1, len(inside))) + [rng.choice(members)],
+            ]
+            for subset in candidates:
+                expected = brute_noncommuting_pair(subset)
+                assert _noncommuting_pair(G.degree, subset) == expected, subset
+                answers[expected] += 1
+        assert answers[True] and answers[False]
+
+    def test_the_flag_on_the_default_catalog(self, catalog_sweep):
+        items, _, _ = catalog_sweep
+        flags = {
+            (item["group"], item["element"]): item["flags"]["noncommuting_pair_in_sol"]
+            for item in items
+        }
+        checked = 0
+        for spec in builtin_specs():
+            entry = CatalogEntry.from_spec(spec)
+            G = entry.group
+            for rep in conjugacy_class_reps(G):
+                flag = flags[entry.name, format_cycles(rep)]
+                if is_abelian(G):
+                    assert flag == "skipped"
+                else:
+                    assert flag == brute_noncommuting_pair(sol_set(G, rep).raw())
+                    checked += 1
+        assert checked and len(flags) == len(items)
 
 
 def fresh_items(spec, tokens):

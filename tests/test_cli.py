@@ -365,10 +365,15 @@ class TestDeterminism:
                 ("sol", "--family", "psl2:27", "--order", "13", "--format", "json"),
                 "6c3b0b199854c6ff910a0278ec7e3a2adb3bf8bdb3e3001ed75d409c9e72c21c",
             ),
+            (
+                ("verify", "--format", "json"),
+                "2341ac0185eab6c9ed34cba60b98902227a2d32f27fc0ebd833373c806d9048d",
+            ),
         ],
         ids=[
             "verify-60", "table1", "verify-120", "classify-table2", "sol-psl2-7",
             "sol-psl2-13", "sol-a7", "sol-sl2-5", "sol-psl2-9", "sol-psl2-27",
+            "verify-default",
         ],
     )
     def test_report_bytes_are_frozen(self, capsys, argv, digest):
@@ -376,7 +381,8 @@ class TestDeterminism:
         # table1), c99781d (verify-120, classify-table2, sol-psl2-7),
         # a3b1de9 (sol-psl2-13, sol-a7), b35c016 (sol-sl2-5, the central
         # -1) and e9648d3 (sol-psl2-9, sol-psl2-27, over the non-prime fields
-        # GF(9) and GF(27)): engine changes that only share or reuse work
+        # GF(9) and GF(27)) and 2c69179 (verify-default, the whole default
+        # sweep): engine changes that only share or reuse work
         # must not move a byte
         code, out, _ = run(capsys, *argv)
         assert code == 0

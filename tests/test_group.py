@@ -51,7 +51,7 @@ from solvlab.solubilizer import (
     soluble_radical,
 )
 
-from conftest import brute_center, brute_point_stabilizer
+from conftest import brute_center, brute_frobenius, brute_point_stabilizer
 
 
 def brute_closure(degree, gens):
@@ -536,7 +536,7 @@ class TestMemoContract:
 
     def test_an_equal_normalizer_is_stored_as_the_centralizer(self, monkeypatch):
         # an involution of A5: C_G(x) = N_G(<x>) = V4, and G's element list
-        # is filtered once, so only the members of N_G(<x>) meet _commutes
+        # is filtered once, so only the generators of N_G(<x>) meet _commutes
         G = CatalogEntry.from_spec(FamilySpec("alternating", (5,))).group
         x = first_element_of_order(G, 2)
         enumerate_elements(G)
@@ -548,9 +548,31 @@ class TestMemoContract:
         assert "centralizer" not in G._cache
         n_x = normalizer_of_cyclic(G, x)
         assert n_x.order() == 4
-        assert len(commutes) == 4
+        assert len(commutes) == len(n_x.generators)
         assert G._cache["centralizer"][x._img] is n_x
         assert centralizer(G, x) is n_x
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("dihedral", (12,)), ("symmetric", (4,)), ("alternating", (5,)), ("sl2", (5,)),
+         ("agl1", (7,))],
+    )
+    def test_the_normalizer_is_stored_as_the_centralizer_exactly_when_equal(
+        self, family, params
+    ):
+        G = CatalogEntry.from_spec(FamilySpec(family, params)).group
+        members = list(enumerate_elements(G))
+        equal = 0
+        for x in conjugacy_class_reps(G):
+            c_x, n_x, _ = brute_frobenius(members, x)
+            assert x._img not in G._cache.get("centralizer", {})
+            found = normalizer_of_cyclic(G, x)
+            assert set(enumerate_elements(found)) == n_x
+            stored = G._cache.get("centralizer", {}).get(x._img)
+            assert (stored is found) == (n_x == c_x)
+            assert stored is None or stored is found
+            equal += n_x == c_x
+        assert 0 < equal < len(conjugacy_class_reps(G))
 
 
 class TestDerivedSeriesAndSolubility:

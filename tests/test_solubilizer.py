@@ -41,7 +41,7 @@ from solvlab.group import (
     ElementSet,
     PermGroup,
     StabilizerChain,
-    _conjugation_orbits,
+    _orbits,
     _subgroup_gens,
     conjugacy_class_reps,
     enumerate_elements,
@@ -70,7 +70,7 @@ from solvlab.solubilizer import (
     soluble_radical,
 )
 
-from conftest import brute_burnside_count, brute_center, pair_soluble_chain
+from conftest import brute_burnside_count, brute_center, brute_frobenius, pair_soluble_chain
 
 
 def records_of(G):
@@ -795,7 +795,7 @@ class TestOrbitMemos:
             for record in records_of(G):
                 for H in (record.c_x, record.n_x):
                     copy = PermGroup(H.degree, H.generators)
-                    orbits = _conjugation_orbits([g._img for g in copy.generators], record.sol)
+                    orbits = _orbits([g._img for g in copy.generators], record.sol)
                     assert record.sol.raw_set() in H._cache["orbit_count"]
                     assert orbit_count(H, record.sol) == len(orbits)
 
@@ -942,6 +942,9 @@ class TestFrobeniusStructure:
             ("psl2", (7,)),
             ("agl1", (7,)),
             ("frobenius_pq", (11, 23)),
+            ("agl1", (13,)),
+            ("dihedral", (24,)),
+            ("symmetric", (5,)),
         ],
     )
     def test_every_representative_against_brute_force(self, family, params, monkeypatch):
@@ -950,21 +953,35 @@ class TestFrobeniusStructure:
         reps = conjugacy_class_reps(G)
         sifts = recorded_sifts(monkeypatch)
         for x in reps:
-            powers = {x**k for k in range(x.order())}
-            c_x = {g for g in members if g * x == x * g}
-            n_x = {g for g in members if x.conjugate_by(g) in powers}
+            c_x, n_x, frobenius = brute_frobenius(members, x)
             # C_G(x) is normal in N_G(<x>), so the finding needs no test of it
             assert all(c.conjugate_by(n) in c_x for c in c_x for n in n_x)
-            outside = n_x - c_x
-            frobenius = bool(outside) and not any(
-                h * c == c * h for h in outside for c in c_x if not c.is_identity()
-            )
             finding = frobenius_structure(G, x)
             assert finding.is_frobenius_over_cx == frobenius
             assert finding.complement_order == len(n_x) // len(c_x)
             assert finding.index_prime == isprime(len(n_x) // len(c_x))
             assert set(enumerate_elements(finding.kernel)) == c_x
         assert sifts == []
+
+    @pytest.mark.parametrize(
+        "family,params", [("agl1", (13,)), ("alternating", (5,)), ("frobenius_pq", (11, 23))]
+    )
+    def test_the_finding_tests_no_pair(self, family, params, monkeypatch):
+        # read from orbit counts, the finding needs no commuting test
+        def refuse(a, b):
+            raise AssertionError("frobenius_structure tested a pair")
+
+        monkeypatch.setattr(solvlab.solubilizer, "_commutes", refuse)
+        G = fresh(family, *params)
+        members = list(enumerate_elements(G))
+        found = []
+        for x in conjugacy_class_reps(G):
+            c_x, n_x, frobenius = brute_frobenius(members, x)
+            finding = frobenius_structure(G, x)
+            assert finding.is_frobenius_over_cx == frobenius
+            assert finding.complement_order == len(n_x) // len(c_x)
+            found.append(frobenius)
+        assert True in found
 
 
 def brute_exp_bound(G, x, n_x):
