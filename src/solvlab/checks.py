@@ -76,8 +76,8 @@ def run_entry_checks(entry: CatalogEntry, checks: tuple[str, ...], cap: int = DE
     """
     G = entry.group
     reps = conjugacy_class_reps(G, cap)
-    # Every record first: a suite may ask for C_G(g) of a later rep g, and
-    # only after N_G(<g>) is C_G(g) read from it when the two are equal.
+    # Every record first: pq_scan reads every rep's record, so in the loop
+    # below the pq suite would build the later records, and carry their time.
     records = [sol_record(G, rep, cap) for rep in reps]
     selected = [name for token, name in _SUITES.items() if token in checks]
     items = []

@@ -326,7 +326,7 @@ class PermGroup:
     "abelian", "radical" (the soluble radical), "pq" (pq_scan's findings);
     by member set, "subgroups" (may hold G, see _subgroup_of),
     "quotient", "orbit_count" and "nx_orbit_reps"; per member x,
-    "centralizer", "normalizer_of_cyclic", "powers" (<x>'s members),
+    "stabilizers" (C_G(x) and N_G(<x>)), "powers" (<x>'s members),
     "sol_set", "sol_record"; per pair, "n_value".  No pair verdicts.
 
     Every cache entry, and every entry of a per-element table in it, is read
@@ -515,40 +515,6 @@ def is_abelian(G: PermGroup) -> bool:
     return _memo(G._cache, "abelian", lambda: _commuting([g._img for g in G.generators]))
 
 
-def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
-    """C_G(x), by exhaustive filtration of the element list."""
-    elements = enumerate_elements(G, cap)
-    xt = x._img
-
-    def filtration() -> PermGroup:
-        if xt not in elements.raw_set():
-            raise NotInGroup("x is not a member of G")
-        return _subgroup_of(G, [t for t in elements.raw() if _commutes(t, xt)])
-
-    return _memo(_memo(G._cache, "centralizer", dict), xt, filtration)
-
-
-def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
-    """N_G(<x>), elements g with x^g a power of x, by exhaustive filtration.
-
-    C_G(x) <= N_G(<x>), so when N_G(<x>)'s generators commute with x the two
-    are one group, and its one object (see _subgroup_of) is memoized as both.
-    """
-    elements = enumerate_elements(G, cap)
-    xt = x._img
-
-    def filtration() -> PermGroup:
-        if xt not in elements.raw_set():
-            raise NotInGroup("x is not a member of G")
-        powers = set(_cyclic_images(xt))
-        n_x = _subgroup_of(G, [t for t in elements.raw() if _conj(xt, t) in powers])
-        if all(_commutes(g._img, xt) for g in n_x.generators):
-            _memo(_memo(G._cache, "centralizer", dict), xt, lambda: n_x)
-        return n_x
-
-    return _memo(_memo(G._cache, "normalizer_of_cyclic", dict), xt, filtration)
-
-
 def _cyclic_images(x: Images) -> list[Images]:
     """All powers of x, identity included."""
     idn = _identity(len(x))
@@ -558,6 +524,46 @@ def _cyclic_images(x: Images) -> list[Images]:
         out.append(t)
         t = _mul(t, x)
     return out
+
+
+def _powers_set(G: PermGroup, t: Images) -> frozenset:
+    """Memoized member set of <t>, the cyclic group that t generates."""
+    return _memo(_memo(G._cache, "powers", dict), t, lambda: frozenset(_cyclic_images(t)))
+
+
+def _conjugation_stabilizers(
+    G: PermGroup, x: Permutation, cap: int
+) -> tuple[PermGroup, PermGroup]:
+    """(C_G(x), N_G(<x>)), from one pass over G's element list: each member
+    t conjugates x once, and lies in N_G(<x>) when x^t is a power of x, in
+    C_G(x) too when x^t = x.  Memoized per group, keyed by x."""
+    elements = enumerate_elements(G, cap)
+    xt = x._img
+
+    def stabilizers() -> tuple[PermGroup, PermGroup]:
+        if xt not in elements.raw_set():
+            raise NotInGroup("x is not a member of G")
+        powers = _powers_set(G, xt)
+        c_members, n_members = [], []
+        for t in elements.raw():
+            y = _conj(xt, t)
+            if y in powers:
+                n_members.append(t)
+                if y == xt:
+                    c_members.append(t)
+        return _subgroup_of(G, c_members), _subgroup_of(G, n_members)
+
+    return _memo(_memo(G._cache, "stabilizers", dict), xt, stabilizers)
+
+
+def centralizer(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
+    """C_G(x), the elements g with x^g = x (see _conjugation_stabilizers)."""
+    return _conjugation_stabilizers(G, x, cap)[0]
+
+
+def normalizer_of_cyclic(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> PermGroup:
+    """N_G(<x>), the elements g with x^g a power of x (see _conjugation_stabilizers)."""
+    return _conjugation_stabilizers(G, x, cap)[1]
 
 
 def _orbits(
@@ -776,15 +782,12 @@ def structure_tag(G: PermGroup, cap: int = DEFAULT_CAP) -> str:
         return "S_3"
     if n % 2 == 0:
         half = n // 2
-        rotation = next(
-            (t for t in enumerate_elements(G, cap).raw() if _order(t) == half),
-            None,
-        )
+        rotation = first_element_of_order(G, half, cap)
         if rotation is not None:
-            powers = set(_cyclic_images(rotation))
-            rot_inv = _inv(rotation)
+            powers = set(_cyclic_images(rotation._img))
+            rot_inv = _inv(rotation._img)
             for t in enumerate_elements(G, cap).raw():
-                if t not in powers and _order(t) == 2 and _conj(rotation, t) == rot_inv:
+                if t not in powers and _order(t) == 2 and _conj(rotation._img, t) == rot_inv:
                     return f"D_{n}"
     fac = sorted(factorize(n).items())
     if len(fac) == 2 and fac[0][1] == 1 and fac[1][1] == 1:

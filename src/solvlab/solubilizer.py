@@ -41,6 +41,7 @@ from .group import (
     _cyclic_images,
     _memo,
     _orbits,
+    _powers_set,
     _soluble_from_gens,
     _subgroup_gens,
     _subgroup_of,
@@ -74,11 +75,6 @@ __all__ = [
     "quotient_sol_check",
     "pq_scan",
 ]
-
-
-def _powers_set(G: PermGroup, t: Images) -> frozenset:
-    """Memoized element set of the cyclic group generated by t."""
-    return _memo(_memo(G._cache, "powers", dict), t, lambda: frozenset(_cyclic_images(t)))
 
 
 def _cyclic_generators(t: Images) -> list[Images]:

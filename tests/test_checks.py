@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-import solvlab.solubilizer
+import solvlab.group
 from solvlab import checks
 from solvlab.cycles import format_cycles, parse_cycles
 from solvlab.families import CatalogEntry, FamilySpec, builtin_specs
@@ -193,29 +193,42 @@ class TestSuiteTable:
         ran = [item["flags"]["quotient"] for item in backward]
         assert (True in ran) == (spec.family == "sl2")
 
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize(
         "spec",
         [FamilySpec("dihedral", (12,)), FamilySpec("agl1", (7,)), *SUITE_GROUPS],
         ids=lambda spec: spec.name(),
     )
-    def test_no_centralizer_is_filtered_that_its_normalizer_gives(self, spec, monkeypatch):
-        # normalizer_of_cyclic stores N_G(<x>) as C_G(x) when they are equal,
-        # so every record is built before a suite asks for the C_G(g) of
-        # another representative g, and G's element list is filtered once
+    def test_one_conjugation_pass_per_element(self, spec, backward, monkeypatch):
+        # C_G(x) and N_G(<x>) come from one pass of |G| conjugations of x,
+        # whichever suite, representative or function asks first
+        if backward:
+            monkeypatch.setattr(checks, "_SUITES", dict(reversed(checks._SUITES.items())))
         entry = CatalogEntry.from_spec(spec)
         G = entry.group
-        filtered = []
-        real_centralizer = solvlab.solubilizer.centralizer
+        asked, conjugations, passing = set(), [], []
+        real_stabilizers = solvlab.group._conjugation_stabilizers
+        real_conj = solvlab.group._conj
 
-        def centralizer(H, x, cap):
-            if H is G and x._img not in G._cache.get("centralizer", {}):
-                filtered.append(x._img)
-            return real_centralizer(H, x, cap)
+        def stabilizers(H, x, cap):
+            if H is not G:
+                return real_stabilizers(H, x, cap)
+            asked.add(x._img)
+            passing.append(x)
+            try:
+                return real_stabilizers(H, x, cap)
+            finally:
+                passing.pop()
 
-        monkeypatch.setattr(solvlab.solubilizer, "centralizer", centralizer)
+        def conj(p, g):
+            if passing:
+                conjugations.append(p)
+            return real_conj(p, g)
+
+        monkeypatch.setattr(solvlab.group, "_conjugation_stabilizers", stabilizers)
+        monkeypatch.setattr(solvlab.group, "_conj", conj)
         checks.run_entry_checks(entry, checks.CHECK_TOKENS)
-        normalizers, centralizers = G._cache["normalizer_of_cyclic"], G._cache["centralizer"]
-        assert [t for t in filtered if normalizers.get(t) is centralizers[t]] == []
+        assert Counter(conjugations) == {t: G.order() for t in asked}
 
     def test_every_suite_span_records_calls(self):
         # perfbench/spans.py wraps each suite by setting an attribute of

@@ -369,11 +369,15 @@ class TestDeterminism:
                 ("verify", "--format", "json"),
                 "2341ac0185eab6c9ed34cba60b98902227a2d32f27fc0ebd833373c806d9048d",
             ),
+            (
+                ("verify", "--max-order", "20000", "--checks", "conjecture", "--format", "json"),
+                "d47912e56ac57f159ab520eaaac6be5a793837d4af50fc97cf16d07799683b72",
+            ),
         ],
         ids=[
             "verify-60", "table1", "verify-120", "classify-table2", "sol-psl2-7",
             "sol-psl2-13", "sol-a7", "sol-sl2-5", "sol-psl2-9", "sol-psl2-27",
-            "verify-default",
+            "verify-default", "verify-20000-conjecture",
         ],
     )
     def test_report_bytes_are_frozen(self, capsys, argv, digest):
@@ -381,8 +385,9 @@ class TestDeterminism:
         # table1), c99781d (verify-120, classify-table2, sol-psl2-7),
         # a3b1de9 (sol-psl2-13, sol-a7), b35c016 (sol-sl2-5, the central
         # -1) and e9648d3 (sol-psl2-9, sol-psl2-27, over the non-prime fields
-        # GF(9) and GF(27)) and 2c69179 (verify-default, the whole default
-        # sweep): engine changes that only share or reuse work
+        # GF(9) and GF(27)), 2c69179 (verify-default, the whole default
+        # sweep) and f4ee299 (verify-20000-conjecture, every record up to
+        # the cap): engine changes that only share or reuse work
         # must not move a byte
         code, out, _ = run(capsys, *argv)
         assert code == 0

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -455,21 +456,26 @@ class TestOneObjectPerSubgroup:
 class TestMemoContract:
     """Membership is tested on a miss only; the cap on every call."""
 
+    # each function, the table it is memoized in, and its part of an entry
     MEMOIZED = {
-        "centralizer": centralizer,
-        "normalizer_of_cyclic": normalizer_of_cyclic,
-        "sol_set": sol_set,
+        "centralizer": (centralizer, "stabilizers", operator.itemgetter(0)),
+        "normalizer_of_cyclic": (normalizer_of_cyclic, "stabilizers", operator.itemgetter(1)),
+        "sol_set": (sol_set, "sol_set", lambda found: found),
     }
 
     @pytest.mark.parametrize("name", MEMOIZED)
     def test_a_non_member_raises_each_time_and_stores_nothing(self, name):
+        function, table, _ = self.MEMOIZED[name]
         G = CatalogEntry.from_spec(FamilySpec("alternating", (5,))).group
         # an odd permutation, and an element of another degree
         for outside in (parse_cycles("(1,2)", 5), parse_cycles("(1,2,3)", 6)):
             for _ in range(2):
                 with pytest.raises(NotInGroup):
-                    self.MEMOIZED[name](G, outside)
-            assert outside._img not in G._cache.get(name, {})
+                    function(G, outside)
+            assert outside._img not in G._cache.get(table, {})
+        # the table is the one a member's result is stored in
+        function(G, G.identity())
+        assert G.identity()._img in G._cache[table]
 
     @pytest.mark.parametrize(
         "function",
@@ -490,6 +496,7 @@ class TestMemoContract:
 
     @pytest.mark.parametrize("name", MEMOIZED)
     def test_a_memo_hit_runs_no_sift(self, name, monkeypatch):
+        function, table, part = self.MEMOIZED[name]
         G = CatalogEntry.from_spec(FamilySpec("symmetric", (4,))).group
         sifts = []
         real_contains = StabilizerChain.contains
@@ -500,13 +507,13 @@ class TestMemoContract:
 
         monkeypatch.setattr(StabilizerChain, "contains", contains)
         for x in enumerate_elements(G):
-            found = self.MEMOIZED[name](G, x)
-            assert G._cache[name][x._img] is found
+            found = function(G, x)
+            assert part(G._cache[table][x._img]) is found
             sifts.clear()
-            assert self.MEMOIZED[name](G, x) is found
+            assert function(G, x) is found
             assert sifts == []
             with pytest.raises(OrderExceedsCap):
-                self.MEMOIZED[name](G, x, cap=G.order() - 1)
+                function(G, x, cap=G.order() - 1)
 
     @pytest.mark.parametrize(
         "family,params,extra",
@@ -517,9 +524,9 @@ class TestMemoContract:
         entry = CatalogEntry.from_spec(FamilySpec(family, params))
         run_entry_checks(entry, CHECK_TOKENS)
         assert set(entry.group._cache) == {
-            "abelian", "centralizer", "classes", "elements", "n_value",
-            "normalizer_of_cyclic", "nx_orbit_reps", "orbit_count", "powers",
-            "radical", "sol_record", "sol_set", "soluble", "subgroups",
+            "abelian", "classes", "elements", "n_value", "nx_orbit_reps",
+            "orbit_count", "powers", "radical", "sol_record", "sol_set",
+            "soluble", "stabilizers", "subgroups",
         } | extra
 
     def test_the_per_group_findings_are_stored_and_still_check_the_cap(self):
@@ -534,45 +541,40 @@ class TestMemoContract:
             with pytest.raises(OrderExceedsCap):
                 function(G, cap=G.order() - 1)
 
-    def test_an_equal_normalizer_is_stored_as_the_centralizer(self, monkeypatch):
-        # an involution of A5: C_G(x) = N_G(<x>) = V4, and G's element list
-        # is filtered once, so only the generators of N_G(<x>) meet _commutes
-        G = CatalogEntry.from_spec(FamilySpec("alternating", (5,))).group
-        x = first_element_of_order(G, 2)
-        enumerate_elements(G)
-        commutes = []
-        real_commutes = solvlab.group._commutes
-        monkeypatch.setattr(
-            solvlab.group, "_commutes", lambda a, b: commutes.append(a) or real_commutes(a, b)
-        )
-        assert "centralizer" not in G._cache
-        n_x = normalizer_of_cyclic(G, x)
-        assert n_x.order() == 4
-        assert len(commutes) == len(n_x.generators)
-        assert G._cache["centralizer"][x._img] is n_x
-        assert centralizer(G, x) is n_x
-
+    @pytest.mark.parametrize("first", ["centralizer", "normalizer_of_cyclic"])
     @pytest.mark.parametrize(
         "family,params",
         [("dihedral", (12,)), ("symmetric", (4,)), ("alternating", (5,)), ("sl2", (5,)),
          ("agl1", (7,))],
     )
-    def test_the_normalizer_is_stored_as_the_centralizer_exactly_when_equal(
-        self, family, params
+    def test_one_pass_gives_both_whichever_is_asked_first(
+        self, family, params, first, monkeypatch
     ):
+        # C_G(x) and N_G(<x>) come from one conjugation of x by each member,
+        # and are one object exactly when their member sets are equal
         G = CatalogEntry.from_spec(FamilySpec(family, params)).group
         members = list(enumerate_elements(G))
+        reps = conjugacy_class_reps(G)
+        conjugations = []
+        real_conj = solvlab.group._conj
+        monkeypatch.setattr(
+            solvlab.group, "_conj", lambda p, g: conjugations.append(g) or real_conj(p, g)
+        )
+        calls = [centralizer, normalizer_of_cyclic]
+        if first == "normalizer_of_cyclic":
+            calls.reverse()
         equal = 0
-        for x in conjugacy_class_reps(G):
+        for x in reps:
             c_x, n_x, _ = brute_frobenius(members, x)
-            assert x._img not in G._cache.get("centralizer", {})
-            found = normalizer_of_cyclic(G, x)
-            assert set(enumerate_elements(found)) == n_x
-            stored = G._cache.get("centralizer", {}).get(x._img)
-            assert (stored is found) == (n_x == c_x)
-            assert stored is None or stored is found
-            equal += n_x == c_x
-        assert 0 < equal < len(conjugacy_class_reps(G))
+            conjugations.clear()
+            for function in calls:
+                function(G, x)
+            assert len(conjugations) == G.order()
+            assert set(enumerate_elements(centralizer(G, x))) == c_x
+            assert set(enumerate_elements(normalizer_of_cyclic(G, x))) == n_x
+            assert (centralizer(G, x) is normalizer_of_cyclic(G, x)) == (c_x == n_x)
+            equal += c_x == n_x
+        assert 0 < equal < len(reps)
 
 
 class TestDerivedSeriesAndSolubility:

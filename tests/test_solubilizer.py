@@ -1035,7 +1035,7 @@ class TestExpBound:
         for _ in range(2):
             with pytest.raises(NotInGroup):
                 lemma_exp_bound(a5, odd)
-        for table in ("normalizer_of_cyclic", "powers", "sol_set"):
+        for table in ("stabilizers", "powers", "sol_set"):
             assert odd._img not in a5._cache.get(table, {})
 
     def test_vacuous_when_cyclic_group_is_normal(self):
