@@ -19,6 +19,7 @@ point anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -85,22 +86,113 @@ def _cyclic_generators(t: Images) -> list[Images]:
     return [powers[k] for k in range(order) if gcd(k, order) == 1]
 
 
+# The orbit rules of _pair_soluble.  A soluble H = <a, b> has soluble
+# constituents H^O on its orbits O, each a quotient of H, and H embeds in
+# their product.  A soluble transitive group of prime degree p lies in
+# AGL(1, p) (Galois), so it has order at most p(p - 1), and its elements
+# are the identity, p-cycles, and maps with one fixed point whose other
+# cycles share one length.  A soluble group of degree m has order at most
+# 24^((m - 1)/3) (Dixon 1967; Dixon and Mortimer, Permutation Groups, 3.5).
+
+
+@functools.cache
+def _dixon_bound(m: int) -> int:
+    """D(m), the largest k with k**3 <= 24**(m - 1), by integer bisection."""
+    power = 24 ** (m - 1)
+    low, high = 0, 1 << (power.bit_length() // 3 + 1)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if mid**3 <= power:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+@functools.cache
+def _orbit_bound(m: int) -> int:
+    """s(m), a bound on the order of a soluble transitive group of degree m:
+    m(m - 1) for a prime m, D(m) otherwise (D(1) = 1)."""
+    return m * (m - 1) if is_prime(m) else _dixon_bound(m)
+
+
+def _point_orbits(a: Images, b: Images) -> list[list[int]]:
+    """The orbits of <a, b> on the points, in one pass that joins each point
+    to its images under a and b."""
+    seen = bytearray(len(a))
+    orbits = []
+    for i in range(len(a)):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for p in orbit:
+            for q in (a[p], b[p]):
+                if not seen[q]:
+                    seen[q] = 1
+                    orbit.append(q)
+        orbits.append(orbit)
+    return orbits
+
+
+def _affine_cycle_type(t: Images, orbit: list[int]) -> bool:
+    """Whether t, which maps the orbit to itself, has on it a cycle type of
+    AGL(1, p): every cycle of one length, or one fixed point and every
+    other cycle of one length."""
+    seen: set[int] = set()
+    lengths = []
+    for i in orbit:
+        if i in seen:
+            continue
+        seen.add(i)
+        j, length = t[i], 1
+        while j != i:
+            seen.add(j)
+            j, length = t[j], length + 1
+        lengths.append(length)
+    kinds = len(set(lengths))
+    return kinds == 1 or (kinds == 2 and lengths.count(1) == 1)
+
+
 def _pair_soluble(G: PermGroup, a: Images, b: Images) -> bool:
     """Whether the subgroup H of G generated by two elements is soluble.
 
-    A pure test that stores no verdict.  Each rule is exact: if either
-    element normalizes the cyclic group of the other (the identity does), H
-    is cyclic-by-cyclic, hence soluble; if the unverified bound of
-    group._certificate_chain reaches |G|, H = G and G's own flag decides;
-    every other pair walks the derived series of H
-    (group._soluble_from_gens), which needs no group order.
+    A pure test that stores no verdict.  Each exit is exact; they are tried
+    in this order:
+    1. cyclic-by-cyclic: if either element normalizes the cyclic group of
+       the other (the identity does), H is soluble;
+    2. small orbits: if every orbit of H has at most 4 points, H embeds in
+       a product of symmetric groups of degree at most 4, so is soluble;
+    3. cycle type: if a or b acts on an orbit of prime length p >= 5 with
+       no cycle type of AGL(1, p), H is insoluble;
+    4. bound: B, the product of _orbit_bound over the orbits, bounds |H|
+       if H is soluble, so the unverified bound of group._certificate_chain
+       runs to min(|G|, B + 1).  Reaching |G| means H = G, and G's own
+       flag decides; else going above B means H is insoluble;
+    5. walk: every other pair walks the derived series of H
+       (group._soluble_from_gens), which needs no group order.
     The oracle, a test by verified chains, is pair_soluble_chain in
     tests/conftest.py.
     """
     if _conj(a, b) in _powers_set(G, a) or _conj(b, a) in _powers_set(G, b):
         return True
-    if _certificate_chain(G.degree, [a, b], G.order()).order() == G.order():
+    orbits = _point_orbits(a, b)
+    if all(len(orbit) <= 4 for orbit in orbits):
+        return True
+    bound = 1
+    for orbit in orbits:
+        m = len(orbit)
+        if m >= 5 and is_prime(m) and not (
+            _affine_cycle_type(a, orbit) and _affine_cycle_type(b, orbit)
+        ):
+            return False
+        bound *= _orbit_bound(m)
+    order = G.order()
+    reached = _certificate_chain(G.degree, [a, b], min(order, bound + 1)).order()
+    if reached == order:
         return is_soluble(G)
+    if reached > bound:
+        return False
     return _soluble_from_gens(G.degree, [a, b])
 
 

@@ -373,11 +373,15 @@ class TestDeterminism:
                 ("verify", "--max-order", "20000", "--checks", "conjecture", "--format", "json"),
                 "d47912e56ac57f159ab520eaaac6be5a793837d4af50fc97cf16d07799683b72",
             ),
+            (
+                ("verify", "--max-order", "20000", "--format", "json", "--jobs", "2"),
+                "098fed1a1cf24ca67589a2e192d826713844cebf835f3128fed433317497258c",
+            ),
         ],
         ids=[
             "verify-60", "table1", "verify-120", "classify-table2", "sol-psl2-7",
             "sol-psl2-13", "sol-a7", "sol-sl2-5", "sol-psl2-9", "sol-psl2-27",
-            "verify-default", "verify-20000-conjecture",
+            "verify-default", "verify-20000-conjecture", "verify-20000",
         ],
     )
     def test_report_bytes_are_frozen(self, capsys, argv, digest):
@@ -386,9 +390,9 @@ class TestDeterminism:
         # a3b1de9 (sol-psl2-13, sol-a7), b35c016 (sol-sl2-5, the central
         # -1) and e9648d3 (sol-psl2-9, sol-psl2-27, over the non-prime fields
         # GF(9) and GF(27)), 2c69179 (verify-default, the whole default
-        # sweep) and f4ee299 (verify-20000-conjecture, every record up to
-        # the cap): engine changes that only share or reuse work
-        # must not move a byte
+        # sweep), f4ee299 (verify-20000-conjecture, every record up to
+        # the cap) and 84f496b (verify-20000, every suite up to the cap):
+        # engine changes that only share or reuse work must not move a byte
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

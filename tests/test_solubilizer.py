@@ -321,16 +321,43 @@ class TestPairTestAgainstChainOracle:
             ("sl2", (5,)),
         ],
     )
-    def test_every_class_representative_pair(self, family, params):
+    def test_every_class_representative_pair(self, monkeypatch, family, params):
+        # Each pair is also named by its exit: a pair that builds no chain
+        # exits "before" (True: cyclic-by-cyclic or small orbits; False:
+        # cycle type), one that builds only a certificate at "certificate"
+        # (at |G| or above the orbit bound B), and one that walks at "walk".
         G, oracle_copy = fresh(family, *params), fresh(family, *params)
-        wrong = [
-            (rep, g)
-            for rep in conjugacy_class_reps(G)
-            for g in enumerate_elements(G).raw()
-            if _pair_soluble(G, rep._img, g)
-            != pair_soluble_chain(oracle_copy, rep._img, g)
-        ]
+        certificate = solvlab.solubilizer._certificate_chain
+        walk = solvlab.solubilizer._soluble_from_gens
+        taken = []
+
+        def recording_certificate(degree, gens, target):
+            taken.append("certificate")
+            return certificate(degree, gens, target)
+
+        def recording_walk(degree, gens):
+            taken.append("walk")
+            return walk(degree, gens)
+
+        monkeypatch.setattr(solvlab.solubilizer, "_certificate_chain", recording_certificate)
+        monkeypatch.setattr(solvlab.solubilizer, "_soluble_from_gens", recording_walk)
+        wrong, exits = [], set()
+        for rep in conjugacy_class_reps(G):
+            for g in enumerate_elements(G).raw():
+                taken.clear()
+                verdict = _pair_soluble(G, rep._img, g)
+                if verdict != pair_soluble_chain(oracle_copy, rep._img, g):
+                    wrong.append((rep, g))
+                exits.add((taken[-1] if taken else "before", verdict))
         assert wrong == []
+        assert ("certificate", False) in exits
+        if family != "sl2":
+            # on 5 and 7 points the cycle-type exit is taken, so the oracle
+            # checks it; SL(2,5) on 24 points has no orbit of prime length
+            assert ("before", False) in exits
+        if family == "symmetric":
+            # every insoluble pair of S5 exits before any walk
+            assert ("walk", False) not in exits
 
     @given(
         st.sampled_from([6, 7]).flatmap(
@@ -347,12 +374,14 @@ class TestPairTestAgainstChainOracle:
         G, oracle_copy = fresh("symmetric", n), fresh("symmetric", n)
         assert _pair_soluble(G, a, b) == pair_soluble_chain(oracle_copy, a, b)
 
-    def test_walk_takes_both_insoluble_exits_on_s5(self, monkeypatch):
+    def test_walk_takes_both_insoluble_exits_on_s6(self, monkeypatch):
         # The walk calls a term K perfect when K's generators sift to the
         # identity through the unverified chain of K', or through that chain
         # once verified.  Count which chain decided each walk the pair test
-        # makes on the class-representative pairs of S5.
-        G = fresh("symmetric", 5)
+        # makes on the class-representative pairs of S6.  (On S5 every
+        # insoluble pair exits at an orbit rule before any walk; in S6, A5
+        # and S5 acting on 6 points stay below D(6) = 199 and still walk.)
+        G = fresh("symmetric", 6)
         verified, last = [], []
         verify, derived_gens = StabilizerChain.verify, solvlab.group._derived_gens
         walk = solvlab.solubilizer._soluble_from_gens
@@ -401,6 +430,60 @@ class TestPairTestAgainstChainOracle:
                 a, b = rng.choice(reps), rng.choice(elements)
                 expected = SymGroup([SymPerm(list(a)), SymPerm(list(b))]).is_solvable
                 assert _pair_soluble(G, a, b) == expected, (a, b)
+
+
+def _block_pair(rng, sizes):
+    """Two seeded permutations that each map every block of consecutive
+    points, of the given sizes, to itself."""
+    out = []
+    for _ in range(2):
+        images, start = [], 0
+        for size in sizes:
+            block = list(range(start, start + size))
+            rng.shuffle(block)
+            images.extend(block)
+            start += size
+        out.append(bytes(images))
+    return out
+
+
+class TestOrbitRules:
+    """The orbit rules of _pair_soluble against the chain oracle, which is
+    blind to them: the small-orbit exit and the per-orbit bound B that the
+    certificate runs to.  test_every_class_representative_pair checks that
+    the cycle-type and bound exits agree with the oracle on A5, S5 and
+    PSL(3,2)."""
+
+    def test_dixon_bound_is_the_integer_cube_root(self):
+        for m in range(1, 257):
+            d = solvlab.solubilizer._dixon_bound(m)
+            assert d**3 <= 24 ** (m - 1) < (d + 1) ** 3, m
+
+    @pytest.mark.parametrize("sizes", [(4, 4), (4, 3, 1), (3, 3, 2), (4, 2, 2), (2, 2, 2, 2)])
+    def test_small_orbits_are_soluble_without_a_chain(self, monkeypatch, sizes):
+        G, oracle_copy = fresh("symmetric", 8), fresh("symmetric", 8)
+        rng = random.Random(20261020 + len(sizes))
+
+        def no_certificate(*args):
+            raise AssertionError("a pair with orbits of at most 4 points built a chain")
+
+        monkeypatch.setattr(solvlab.solubilizer, "_certificate_chain", no_certificate)
+        for _ in range(20):
+            a, b = _block_pair(rng, sizes)
+            assert _pair_soluble(G, a, b) is True
+            assert pair_soluble_chain(oracle_copy, a, b)
+
+    def test_dixon_bound_of_degree_4_is_attained(self):
+        # (1,2,3,4)(5,6,7,8,9) and (1,2)(6,7,9,8) generate S4 x AGL(1,5), of
+        # order 480 = D(4) * s(5): soluble, and above 23 * 20, so a bound
+        # one below D(4) or s(5) would call it insoluble
+        a = parse_cycles("(1,2,3,4)(5,6,7,8,9)", 9)._img
+        b = parse_cycles("(1,2)(6,7,9,8)", 9)._img
+        G, oracle_copy = fresh("symmetric", 9), fresh("symmetric", 9)
+        assert StabilizerChain(9, [a, b]).order() == 480
+        assert solvlab.solubilizer._dixon_bound(4) * solvlab.solubilizer._orbit_bound(5) == 480
+        assert _pair_soluble(G, a, b) is True
+        assert pair_soluble_chain(oracle_copy, a, b)
 
 
 class TestInvariantsUnderOptimize:
