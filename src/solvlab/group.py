@@ -325,7 +325,7 @@ class PermGroup:
     results of pure computations: "elements", "classes", "soluble",
     "abelian", "radical" (the soluble radical), "pq" (pq_scan's findings);
     by member set, "subgroups" (may hold G, see _subgroup_of),
-    "quotient", "orbit_count" and "nx_orbit_reps"; per member x,
+    "quotient" and "orbits" (conjugation-orbit leaders); per member x,
     "stabilizers" (C_G(x) and N_G(<x>)), "powers" (<x>'s members),
     "sol_set", "sol_record"; per pair, "n_value".  No pair verdicts.
 
@@ -784,10 +784,9 @@ def structure_tag(G: PermGroup, cap: int = DEFAULT_CAP) -> str:
         half = n // 2
         rotation = first_element_of_order(G, half, cap)
         if rotation is not None:
-            powers = set(_cyclic_images(rotation._img))
             rot_inv = _inv(rotation._img)
             for t in enumerate_elements(G, cap).raw():
-                if t not in powers and _order(t) == 2 and _conj(rotation._img, t) == rot_inv:
+                if _order(t) == 2 and _conj(rotation._img, t) == rot_inv:
                     return f"D_{n}"
     fac = sorted(factorize(n).items())
     if len(fac) == 2 and fac[0][1] == 1 and fac[1][1] == 1:

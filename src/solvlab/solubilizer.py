@@ -359,21 +359,26 @@ def _generator_classes(Y: ElementSet) -> tuple[tuple[Images, int], ...]:
     return Y._generator_classes
 
 
-def orbit_count(H: PermGroup, Y: ElementSet) -> int:
-    """Number of orbits of H acting on Y by conjugation (direct partition).
-
-    Memoized in H's cache, keyed by Y's members.
+def _orbit_leaders(H: PermGroup, Y: ElementSet) -> tuple[Images, ...]:
+    """The least member of each orbit of H acting on Y by conjugation, in
+    canonical order (group._orbits), so a Y that holds the identity leads
+    with it.  Memoized in H's cache, keyed by Y's members.
     """
     if H.degree != Y.degree:
         raise NotInvariantSet("acting group and set have different degrees")
 
-    def count() -> int:
+    def leaders() -> tuple[Images, ...]:
         orbits = _orbits([h._img for h in H.generators], Y)
         if orbits is None:
             raise NotInvariantSet("set is not closed under conjugation by the acting group")
-        return len(orbits)
+        return tuple(orbit[0] for orbit in orbits)
 
-    return _memo(_memo(H._cache, "orbit_count", dict), Y.raw_set(), count)
+    return _memo(_memo(H._cache, "orbits", dict), Y.raw_set(), leaders)
+
+
+def orbit_count(H: PermGroup, Y: ElementSet) -> int:
+    """Number of orbits of H acting on Y by conjugation (direct partition)."""
+    return len(_orbit_leaders(H, Y))
 
 
 def burnside_orbit_count(H: PermGroup, Y: ElementSet, cap: int = DEFAULT_CAP) -> int:
@@ -429,50 +434,32 @@ def n_value(G: PermGroup, g: Permutation, x: Permutation, cap: int = DEFAULT_CAP
     return _memo(_memo(G._cache, "n_value", dict), (g._img, x._img), ratio)
 
 
-def _nx_orbit_reps(n_x: PermGroup, H: PermGroup, cap: int) -> tuple[Permutation, ...]:
-    """Orbit representatives of n_x conjugating H minus the identity.
-
-    H is normal in n_x (the quotient of n_x by the centralizer is abelian,
-    and H sits between them), so the orbits partition H minus the identity.
-    Each representative is the canonically least member of its orbit and the
-    tuple is sorted, which keeps downstream sums deterministic.  Memoized in
-    n_x's cache, keyed by H's members.
-    """
-    elements = enumerate_elements(H, cap)
-
-    def reps() -> tuple[Permutation, ...]:
-        orbits = _orbits([h._img for h in n_x.generators], elements)
-        if orbits is None:
-            raise SubgroupChainViolated(
-                "H is not invariant under conjugation by the cyclic normalizer"
-            )
-        # the identity is the least element, so its one-point orbit leads
-        return tuple(Permutation._from_images(orbit[0]) for orbit in orbits[1:])
-
-    return _memo(_memo(n_x._cache, "nx_orbit_reps", dict), elements.raw_set(), reps)
-
-
 def _identity_terms(
     G: PermGroup, x: Permutation, H: PermGroup, cap: int
 ) -> tuple[ElementSet, PermGroup, int, list[Fraction]]:
     """The terms of the weighted orbit identity over H: sol, n_x, the number
-    of orbits of H on sol, and the n_value of each _nx_orbit_reps rep.
+    of orbits of H on sol, and the n_value of the leader of each orbit of
+    n_x conjugating H minus the identity.
 
     c_x <= H <= n_x (hence H <= G) is checked on the memoized member sets;
     an H of another degree, or whose order does not divide |n_x|, is
-    refused before its members are enumerated.
+    refused before its members are enumerated.  Such an H is normal in n_x,
+    since n_x / c_x embeds in the abelian Aut(<x>), so n_x permutes H.
     """
     sol = sol_set(G, x, cap)
     n_x = normalizer_of_cyclic(G, x, cap)
     if H.degree != G.degree or n_x.order() % H.order() != 0:
         raise SubgroupChainViolated("H is not contained in the cyclic normalizer of x")
-    members = enumerate_elements(H, cap).raw_set()
+    elements = enumerate_elements(H, cap)
+    members = elements.raw_set()
     if not enumerate_elements(centralizer(G, x, cap), cap).raw_set() <= members:
         raise SubgroupChainViolated("H does not contain the centralizer of x")
     if not members <= enumerate_elements(n_x, cap).raw_set():
         raise SubgroupChainViolated("H is not contained in the cyclic normalizer of x")
-    ell_h = orbit_count(H, sol)
-    return sol, n_x, ell_h, [n_value(G, rep, x, cap) for rep in _nx_orbit_reps(n_x, H, cap)]
+    # the identity's one-point orbit leads
+    leaders = _orbit_leaders(n_x, elements)[1:]
+    values = [n_value(G, Permutation._from_images(t), x, cap) for t in leaders]
+    return sol, n_x, orbit_count(H, sol), values
 
 
 def lemma32_check(G: PermGroup, x: Permutation, H: PermGroup, cap: int = DEFAULT_CAP) -> int:
@@ -536,9 +523,10 @@ def frobenius_structure(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) ->
     index = n_x.order() // c_x.order()
     # c_x is normal in n_x: n in n_x maps x to a generator of <x>, whose
     # centralizer is c_x
+    members = enumerate_elements(c_x, cap)
     frobenius = index > 1 and (
-        n_x.order() * len(_nx_orbit_reps(n_x, c_x, cap))
-        == c_x.order() * (orbit_count(c_x, enumerate_elements(c_x, cap)) - 1)
+        n_x.order() * (orbit_count(n_x, members) - 1)
+        == c_x.order() * (orbit_count(c_x, members) - 1)
     )
     return FrobeniusFinding(
         is_frobenius_over_cx=frobenius,

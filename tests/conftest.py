@@ -107,6 +107,17 @@ def ref_conj(p, g):
     return tuple(r)
 
 
+def brute_orbit_leaders(H, Y):
+    """The least member of each orbit of H conjugating the ElementSet Y, in
+    ascending order: for each y in Y, the least of h^-1 y h over every h in
+    H, computed with the tuple product."""
+    members = [tuple(h) for h in enumerate_elements(H).raw()]
+    leaders = {
+        min(ref_mul(ref_mul(ref_inv(h), tuple(y)), h) for h in members) for y in Y.raw()
+    }
+    return tuple(bytes(t) for t in sorted(leaders))
+
+
 def brute_noncommuting_pair(members):
     """Whether two of the raw images fail to commute, by testing every pair
     with the tuple product."""

@@ -3,6 +3,7 @@ the Burnside counts they make, the suite table, and the worker count of a
 parallel sweep."""
 
 import concurrent.futures
+import hashlib
 import importlib.util
 import json
 import random
@@ -326,3 +327,21 @@ class TestRelabelledSweep:
             relabelled = relabelled_entry(spec, rng)
             assert relabelled.group.generators != shipped.group.generators
             assert rows(relabelled) == rows(shipped)
+
+
+class TestDeskScaleDigest:
+    @pytest.mark.slow
+    def test_all_suites_beyond_the_catalog_are_frozen(self):
+        # SHA-256 of the JSON of every suite's items and counterexamples on
+        # three groups beyond the catalog: soluble AGL1(61), simple
+        # PSL(2,17), and SL(2,7), whose proper radical {+-1} runs the
+        # quotient suite.  Recorded at 2563690, before the orbit-leader
+        # table; about 6 s on one core.
+        reports = []
+        for spec in (FamilySpec("agl1", (61,)), FamilySpec("psl2", (17,)), FamilySpec("sl2", (7,))):
+            items, counterexamples = checks.run_entry_checks(
+                CatalogEntry.from_spec(spec), checks.CHECK_TOKENS
+            )
+            reports.append({"items": items, "counterexamples": counterexamples})
+        digest = hashlib.sha256(json.dumps(reports).encode("utf-8")).hexdigest()
+        assert digest == "53f17f015882103c0e5a601f0043280369d8b113d4c9aca96d9d9bfea5f4afbf"

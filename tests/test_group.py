@@ -524,9 +524,9 @@ class TestMemoContract:
         entry = CatalogEntry.from_spec(FamilySpec(family, params))
         run_entry_checks(entry, CHECK_TOKENS)
         assert set(entry.group._cache) == {
-            "abelian", "classes", "elements", "n_value", "nx_orbit_reps",
-            "orbit_count", "powers", "radical", "sol_record", "sol_set",
-            "soluble", "stabilizers", "subgroups",
+            "abelian", "classes", "elements", "n_value", "orbits", "powers",
+            "radical", "sol_record", "sol_set", "soluble", "stabilizers",
+            "subgroups",
         } | extra
 
     def test_the_per_group_findings_are_stored_and_still_check_the_cap(self):

@@ -41,7 +41,6 @@ from solvlab.group import (
     ElementSet,
     PermGroup,
     StabilizerChain,
-    _orbits,
     _subgroup_gens,
     conjugacy_class_reps,
     enumerate_elements,
@@ -53,7 +52,7 @@ from solvlab.group import (
 from solvlab.perm import Permutation, _conj
 from solvlab.solubilizer import (
     _generator_classes,
-    _nx_orbit_reps,
+    _orbit_leaders,
     _pair_soluble,
     burnside_orbit_count,
     eq1_check,
@@ -70,7 +69,13 @@ from solvlab.solubilizer import (
     soluble_radical,
 )
 
-from conftest import brute_burnside_count, brute_center, brute_frobenius, pair_soluble_chain
+from conftest import (
+    brute_burnside_count,
+    brute_center,
+    brute_frobenius,
+    brute_orbit_leaders,
+    pair_soluble_chain,
+)
 
 
 def records_of(G):
@@ -734,7 +739,7 @@ class TestCountingIdentities:
         for _ in range(2):
             with pytest.raises(NotInvariantSet):
                 orbit_count(H, not_invariant)
-        assert H._cache["orbit_count"] == {}
+        assert H._cache["orbits"] == {}
 
     def test_ratio34_equals_record(self, a5, psl2_7):
         # Burnside counts the centralizer orbits independently of the record
@@ -790,14 +795,16 @@ class TestCountingIdentities:
         assert "elements" not in other_degree._cache
         assert "elements" not in order_3._cache
 
-    def test_nx_orbit_reps_reject_a_non_normal_subgroup(self, a5):
+    def test_orbit_leaders_reject_a_non_normal_subgroup(self, a5):
         x = first_element_of_order(a5, 5)
         n_x = sol_record(a5, x).n_x  # D_10
         involution = next(h for h in enumerate_elements(n_x) if h.order() == 2)
+        not_normal = enumerate_elements(PermGroup(a5.degree, [involution]))
         # a call that raised stored nothing, so the repeat raises too
         for _ in range(2):
-            with pytest.raises(SubgroupChainViolated):
-                _nx_orbit_reps(n_x, PermGroup(a5.degree, [involution]), 60)
+            with pytest.raises(NotInvariantSet):
+                _orbit_leaders(n_x, not_normal)
+        assert not_normal.raw_set() not in n_x._cache["orbits"]
 
 
 def closed_under_coprime_powers(Y):
@@ -873,22 +880,20 @@ class TestBurnsideAgainstBruteForce:
 
 
 class TestOrbitMemos:
-    def test_orbit_count_memo_matches_a_fresh_partition(self):
+    def test_orbit_leaders_memo_matches_a_fresh_copy(self):
         for G in (fresh("alternating", 5), fresh("symmetric", 4)):
             for record in records_of(G):
                 for H in (record.c_x, record.n_x):
+                    # sol_record stored ell_cx and ell_nx through the memo
+                    assert record.sol.raw_set() in H._cache["orbits"]
                     copy = PermGroup(H.degree, H.generators)
-                    orbits = _orbits([g._img for g in copy.generators], record.sol)
-                    assert record.sol.raw_set() in H._cache["orbit_count"]
-                    assert orbit_count(H, record.sol) == len(orbits)
-
-    def test_nx_orbit_reps_memo_matches_a_fresh_copy(self, a5):
-        for record in records_of(a5):
-            for H in (record.c_x, record.n_x):
-                copy = PermGroup(record.n_x.degree, record.n_x.generators)
-                reps = _nx_orbit_reps(record.n_x, H, 60)
-                assert _nx_orbit_reps(record.n_x, H, 60) is reps
-                assert reps == _nx_orbit_reps(copy, H, 60)
+                    members = (enumerate_elements(K) for K in (record.c_x, record.n_x))
+                    for Y in (record.sol, *members):
+                        leaders = _orbit_leaders(H, Y)
+                        assert H._cache["orbits"][Y.raw_set()] is leaders
+                        assert _orbit_leaders(H, Y) is leaders
+                        assert leaders == _orbit_leaders(copy, Y)
+                        assert orbit_count(H, Y) == len(leaders)
 
     def test_n_value_memo_matches_a_fresh_copy(self):
         for G in (fresh("alternating", 5), fresh("symmetric", 4)):
@@ -900,13 +905,24 @@ class TestOrbitMemos:
                     assert n_value(G, g, record.x) is value
                     assert value == n_value(copy, g, record.x)
 
+    @pytest.mark.parametrize(
+        "family,params",
+        [("alternating", (5,)), ("symmetric", (4,)), ("sl2", (5,)), ("agl1", (7,))],
+    )
+    def test_orbit_leaders_against_brute_force(self, family, params):
+        for record in records_of(fresh(family, *params)):
+            centralizer_members = enumerate_elements(record.c_x)
+            for H in (record.c_x, record.n_x):
+                for Y in (record.sol, centralizer_members):
+                    assert _orbit_leaders(H, Y) == brute_orbit_leaders(H, Y)
+
     def test_eq1_reads_each_index_from_n_value(self):
         G = fresh("symmetric", 4)
         for record in records_of(G):
             for H in (record.c_x, record.n_x):
                 assert eq1_check(G, record.x, H) == 0
-                for rep in _nx_orbit_reps(record.n_x, H, G.order()):
-                    value = G._cache["n_value"][(rep._img, record.x._img)]
+                for t in _orbit_leaders(record.n_x, enumerate_elements(H))[1:]:
+                    value = G._cache["n_value"][(t, record.x._img)]
                     assert value.denominator == 1
 
     @pytest.mark.parametrize(
