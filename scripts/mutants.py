@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation harness: each mutant must fail the tests that guard it.
 
-Run from anywhere (about 20 s on a 2-core machine):
+Run from anywhere (about 40 s on a 2-core machine):
 
     python3 scripts/mutants.py
 
@@ -39,9 +39,12 @@ class Mutant(NamedTuple):
 
 SOLUBILIZER = "src/solvlab/solubilizer.py"
 GROUP = "src/solvlab/group.py"
+PERM = "src/solvlab/perm.py"
 PAIRS = "tests/test_solubilizer.py::TestPairTestAgainstChainOracle"
 RULES = "tests/test_solubilizer.py::TestOrbitRules"
 SCAN = "tests/test_solubilizer.py::TestReducedScanAgainstOracle"
+ORACLE = "tests/test_solubilizer.py::TestOracleAgainstBruteForce"
+PARTITION = "tests/test_solubilizer.py::TestOrbitPartition"
 IDENTITIES = "tests/test_solubilizer.py::TestCountingIdentities"
 MEMOS = "tests/test_solubilizer.py::TestOrbitMemos"
 FROBENIUS = "tests/test_solubilizer.py::TestFrobeniusStructure"
@@ -136,6 +139,56 @@ MUTANTS = (
         (
             f"{SCAN}::test_one_pair_test_per_orbit_of_the_two_maps[alternating-params0]",
             f"{SCAN}::test_one_pair_test_per_orbit_of_the_two_maps[sl2-params3]",
+        ),
+    ),
+    Mutant(
+        "oracle-adds-only-the-tested-member",
+        SOLUBILIZER,
+        "soluble.update(_cyclic_generators(t))",
+        "soluble.add(t)",
+        (
+            f"{ORACLE}::test_every_class_representative[alternating-params0]",
+            f"{ORACLE}::test_every_class_representative[sl2-params3]",
+        ),
+    ),
+    Mutant(
+        "oracle-classes-of-a-set-not-closed-under-powers",
+        SOLUBILIZER,
+        "for t, _ in _generator_classes(elements):",
+        "for t, _ in _generator_classes(ElementSet(G.degree, elements.raw()[:-1])):",
+        (
+            f"{ORACLE}::test_one_pair_test_per_cyclic_subgroup[alternating-params0-32]",
+            f"{ORACLE}::test_one_pair_test_per_cyclic_subgroup[sl2-params3-49]",
+        ),
+    ),
+    Mutant(
+        "orbits-conjugation-without-right-factor",
+        GROUP,
+        "maps = [(_inv(g), g + pad) for g in gens]",
+        "maps = [(_inv(g), None) for g in gens]",
+        (
+            f"{PARTITION}::test_orbits_against_brute_force[alternating-params0]",
+            f"{PARTITION}::test_orbits_against_brute_force[sl2-params1]",
+        ),
+    ),
+    Mutant(
+        "commutes-skips-last-three-points",
+        PERM,
+        "for i in range(1, len(a)))",
+        "for i in range(1, len(a) - 3))",
+        (
+            "tests/test_perm.py::TestRawImagesAgainstTupleReference::test_primitives_match[7]",
+            "tests/test_perm.py::TestRawImagesAgainstTupleReference::test_primitives_match[28]",
+        ),
+    ),
+    Mutant(
+        "schreier-residue-swapped-product",
+        GROUP,
+        "r = self._sift(_mul(u, sw), i + 1)",
+        "r = self._sift(_mul(sw, u), i + 1)",
+        (
+            "tests/test_group.py::TestOrderAndMembership::test_orders_match_sympy",
+            "tests/test_group.py::TestGeneratedOrder::test_orders_match_sympy",
         ),
     ),
 )

@@ -154,8 +154,9 @@ def _lemma_sol_flags(G, rep, record, item, cap) -> None:
 
     The invariance flag compares the record with the orbit-reduced scans for
     the generators of <x>.  The equivariance flag rescans a conjugate
-    of x with sol_set_exhaustive, so every representative's reduced set is
-    also checked against the independent oracle."""
+    of x with sol_set_exhaustive, one pair test per cyclic subgroup of G,
+    so every representative's reduced set is also checked against the
+    independent oracle."""
     flags = item["flags"]
     sol = record.sol
     order = G.order()

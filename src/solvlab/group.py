@@ -30,6 +30,7 @@ from .numtheory import factorize
 from .perm import (
     Images,
     Permutation,
+    _FULL,
     _check_degree,
     _comm,
     _commutes,
@@ -573,10 +574,13 @@ def _orbits(
     the left by the elements of left; None if an image leaves members.
 
     members are walked in canonical order, so each orbit is led by its least
-    member and the orbits come in the order of their leaders.
+    member and the orbits come in the order of their leaders.  Each map is
+    u -> a u b, or u -> a u when b is None: a.translate(u + pad) is a u, and
+    b, stored padded to a full translation table once per call, multiplies
+    on the right; g^-1 u g conjugates by g.
     """
-    # each map is u -> a u b, or u -> a u when b is None; g^-1 u g conjugates by g
-    maps = [(_inv(g), g) for g in gens] + [(a, None) for a in left]
+    pad = _FULL[members.degree :]
+    maps = [(_inv(g), g + pad) for g in gens] + [(a, None) for a in left]
     inside = members.raw_set()
     seen: set[Images] = set()
     orbits: list[list[Images]] = []
@@ -586,8 +590,11 @@ def _orbits(
         seen.add(t)
         orbit = [t]
         for u in orbit:
+            table = u + pad
             for a, b in maps:
-                c = _mul(a, u) if b is None else _mul(_mul(a, u), b)
+                c = a.translate(table)
+                if b is not None:
+                    c = c.translate(b)
                 if c not in seen:
                     if c not in inside:
                         return None

@@ -6,8 +6,8 @@ For x in a finite group G, the solubilizer of x is
 
 This module computes that set exactly with one two-generator solubility
 test per orbit of a group action that leaves the verdict unchanged (see
-sol_set), keeps the exhaustive scan over every g as an independent oracle
-(sol_set_exhaustive), aggregates per-element records, counts
+sol_set), keeps a scan with one test per cyclic subgroup of G as an
+independent oracle (sol_set_exhaustive), aggregates per-element records, counts
 conjugation orbits on the set two independent ways, and evaluates the exact
 counting identities that a correct engine must satisfy: the weighted orbit
 identity over a subgroup H between the centralizer and the cyclic
@@ -230,10 +230,17 @@ def _orbit_scan(G: PermGroup, x: Permutation, elements: ElementSet, cap: int) ->
 
 
 def sol_set_exhaustive(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> ElementSet:
-    """The same set as sol_set, by one pair test per element of G.
+    """The same set as sol_set, by one pair test per cyclic subgroup of G.
 
-    Not memoized and blind to the orbit reduction; it shares only G's
-    solubility flag with sol_set.  It is the oracle that checks sol_set.
+    Exact: every generator y^k of <y> (k coprime to |y|) generates with x
+    the same group as y, since <x, y^k> = <x, y>, so it has y's verdict.
+    The least member t of each class of _generator_classes (the classes
+    Burnside's sum uses) is tested, and all of _cyclic_generators(t) join
+    the set when t passes.  Not memoized and blind to the orbit reduction:
+    it uses neither g -> xg nor conjugation by N_G(<x>), and shares only
+    G's solubility flag and _pair_soluble with sol_set.  It is the oracle
+    that checks sol_set; brute_sol_set in tests/conftest.py, one pair test
+    per element, checks it.
     """
     elements = enumerate_elements(G, cap)
     xt = x._img
@@ -241,9 +248,12 @@ def sol_set_exhaustive(G: PermGroup, x: Permutation, cap: int = DEFAULT_CAP) -> 
         raise NotInGroup(f"{x!r} is not an element of {G!r}")
     if is_soluble(G):
         return elements
-    return ElementSet(
-        G.degree, (t for t in elements.raw() if _pair_soluble(G, xt, t))
-    )
+    soluble: set[Images] = set()
+    for t, _ in _generator_classes(elements):
+        if _pair_soluble(G, xt, t):
+            soluble.update(_cyclic_generators(t))
+    # the element list's canonical images, not the generators' copies
+    return ElementSet(G.degree, (t for t in elements.raw() if t in soluble))
 
 
 class SolubilizerRecord(NamedTuple):

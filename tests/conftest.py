@@ -4,7 +4,8 @@ import pytest
 
 from solvlab.checks import CHECK_TOKENS, run_catalog_checks
 from solvlab.families import CatalogEntry, FamilySpec
-from solvlab.group import PermGroup, StabilizerChain, _derived_gens, enumerate_elements
+from solvlab.group import ElementSet, PermGroup, StabilizerChain, _derived_gens, enumerate_elements
+from solvlab.solubilizer import _pair_soluble
 
 
 def _entry(family, *params):
@@ -138,3 +139,12 @@ def pair_soluble_chain(G, a, b):
             return False
         order = derived_order
     return True
+
+
+def brute_sol_set(G, x):
+    """Sol_G(x) by one _pair_soluble call per element of G, with no
+    shortcut for soluble G: the oracle for solubilizer.sol_set_exhaustive,
+    which tests one pair per cyclic subgroup."""
+    return ElementSet(
+        G.degree, (t for t in enumerate_elements(G).raw() if _pair_soluble(G, x._img, t))
+    )

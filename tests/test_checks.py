@@ -345,3 +345,18 @@ class TestDeskScaleDigest:
             reports.append({"items": items, "counterexamples": counterexamples})
         digest = hashlib.sha256(json.dumps(reports).encode("utf-8")).hexdigest()
         assert digest == "53f17f015882103c0e5a601f0043280369d8b113d4c9aca96d9d9bfea5f4afbf"
+
+    @pytest.mark.slow
+    def test_all_suites_on_psl2_16_and_psl2_19_are_frozen(self):
+        # The same digest on two simple groups beyond the catalog whose
+        # lemma-sol oracle makes thousands of pair tests: PSL(2,16) on 17
+        # points and PSL(2,19) on 20.  Recorded at 6d76502, before the
+        # oracle tested one pair per cyclic subgroup; about 3 s on one core.
+        reports = []
+        for spec in (FamilySpec("psl2", (16,)), FamilySpec("psl2", (19,))):
+            items, counterexamples = checks.run_entry_checks(
+                CatalogEntry.from_spec(spec), checks.CHECK_TOKENS
+            )
+            reports.append({"items": items, "counterexamples": counterexamples})
+        digest = hashlib.sha256(json.dumps(reports).encode("utf-8")).hexdigest()
+        assert digest == "897bd5142c3ce5b72a1e6a82efbd2bad60ef4bbaa55857c77389dc5011a2afad"

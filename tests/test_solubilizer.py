@@ -41,6 +41,7 @@ from solvlab.group import (
     ElementSet,
     PermGroup,
     StabilizerChain,
+    _orbits,
     _subgroup_gens,
     conjugacy_class_reps,
     enumerate_elements,
@@ -74,6 +75,7 @@ from conftest import (
     brute_center,
     brute_frobenius,
     brute_orbit_leaders,
+    brute_sol_set,
     pair_soluble_chain,
 )
 
@@ -232,7 +234,8 @@ def brute_orbits(elements, maps):
 
 
 class TestReducedScanAgainstOracle:
-    """sol_set decides one pair per orbit; sol_set_exhaustive tests every pair.
+    """sol_set decides one pair per orbit; sol_set_exhaustive one pair per
+    cyclic subgroup.
 
     The oracle always runs on a separately built copy of the group, so it
     cannot read a set, a centralizer or a normalizer that the reduced scan
@@ -306,6 +309,76 @@ class TestReducedScanAgainstOracle:
     def test_records_are_shared(self, a5):
         x = first_element_of_order(a5, 3)
         assert sol_record(a5, x) is sol_record(a5, x)
+
+
+class TestOracleAgainstBruteForce:
+    """sol_set_exhaustive tests one pair per cyclic subgroup; brute_sol_set
+    tests every element.  Each runs on its own copy of the group."""
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("alternating", (5,)),
+            ("symmetric", (5,)),
+            ("psl3_2", ()),
+            ("sl2", (5,)),
+            ("symmetric", (6,)),
+        ],
+    )
+    def test_every_class_representative(self, family, params):
+        G, brute_copy = fresh(family, *params), fresh(family, *params)
+        for rep in conjugacy_class_reps(G):
+            assert sol_set_exhaustive(G, rep) == brute_sol_set(brute_copy, rep)
+
+    @pytest.mark.parametrize(
+        "family,params,subgroups",
+        [
+            ("alternating", (5,), 32),
+            ("symmetric", (5,), 67),
+            ("psl3_2", (), 79),
+            ("sl2", (5,), 49),
+        ],
+    )
+    def test_one_pair_test_per_cyclic_subgroup(self, family, params, subgroups, monkeypatch):
+        G = fresh(family, *params)
+        cyclic = {frozenset(g**k for k in range(g.order())) for g in enumerate_elements(G)}
+        assert len(cyclic) == subgroups
+        tested = recorded_pair_tests(monkeypatch)
+        for x in conjugacy_class_reps(G):
+            tested.clear()
+            sol_set_exhaustive(G, x)
+            generated = {
+                frozenset(t**k for k in range(t.order()))
+                for t in map(Permutation._from_images, tested)
+            }
+            assert len(tested) == len(generated) == subgroups
+
+    @pytest.mark.parametrize("family,params", [("symmetric", (4,)), ("agl1", (7,))])
+    def test_no_pair_test_on_a_soluble_group(self, family, params, monkeypatch):
+        G = fresh(family, *params)
+        tested = recorded_pair_tests(monkeypatch)
+        for x in conjugacy_class_reps(G):
+            assert sol_set_exhaustive(G, x) == enumerate_elements(G)
+        assert tested == []
+
+
+class TestOrbitPartition:
+    @pytest.mark.parametrize("family,params", [("alternating", (5,)), ("sl2", (5,))])
+    def test_orbits_against_brute_force(self, family, params):
+        # conjugation by N_G(<x>)'s generators with and without left
+        # multiplication by x, the scan's two maps, for every representative
+        G = fresh(family, *params)
+        elements = enumerate_elements(G)
+        for x in conjugacy_class_reps(G):
+            n_gens = normalizer_of_cyclic(G, x).generators
+            conjugations = [lambda g, n=n: g.conjugate_by(n) for n in n_gens]
+            for left, maps in (([], conjugations), ([x], [lambda g: x * g] + conjugations)):
+                orbits = _orbits([n._img for n in n_gens], elements, [a._img for a in left])
+                found = {frozenset(map(Permutation._from_images, orbit)) for orbit in orbits}
+                assert found == brute_orbits(list(elements), maps)
+                # each orbit is led by its least member, in ascending order
+                leaders = [orbit[0] for orbit in orbits]
+                assert leaders == sorted(min(orbit) for orbit in orbits)
 
 
 class TestPairTestAgainstChainOracle:
